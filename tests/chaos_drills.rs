@@ -34,7 +34,7 @@ use paramecium::core::memsvc::MemService;
 use paramecium::machine::Machine;
 use paramecium::netstack::route::{make_router, RouteIf};
 use paramecium::netstack::simlink::{make_simlink, LinkConfig};
-use paramecium::netstack::tcp::make_tcp;
+use paramecium::netstack::tcp::{make_tcp, STAT_DIGEST};
 use paramecium::obj::{ObjRef, Value};
 use paramecium::store::{JournalConfig, RetryConfig, StackBuilder, StoreStack};
 
@@ -115,6 +115,49 @@ struct Report {
     route_stats: Vec<i64>,
     oracle_sectors: usize,
     store_digest: u64,
+}
+
+impl Report {
+    /// The replay fingerprints: chaos audit digest, the three endpoints'
+    /// TCP segment-trace digests (client A, client B, server) and the
+    /// store read-back digest.
+    fn digests(&self) -> [u64; 5] {
+        [
+            self.audit_digest,
+            self.stats_a[STAT_DIGEST] as u64,
+            self.stats_b[STAT_DIGEST] as u64,
+            self.stats_server[STAT_DIGEST] as u64,
+            self.store_digest,
+        ]
+    }
+
+    /// One FNV-1a fold over every field of the report, in declaration
+    /// order, so a golden value covers the whole outcome.
+    fn fingerprint(&self) -> u64 {
+        let mut h = fnv(0, &(self.rounds as u64).to_le_bytes());
+        for line in &self.audit {
+            h = fnv(h, line.as_bytes());
+        }
+        h = fnv(h, &self.audit_digest.to_le_bytes());
+        h = fnv(h, &self.reboots.to_le_bytes());
+        for (state, err, echoed) in &self.outcomes {
+            h = fnv(h, state.as_bytes());
+            h = fnv(h, err.as_bytes());
+            h = fnv(h, &(*echoed as u64).to_le_bytes());
+        }
+        for stats in [
+            &self.stats_a,
+            &self.stats_b,
+            &self.stats_server,
+            &self.route_stats,
+        ] {
+            for v in stats {
+                h = fnv(h, &v.to_le_bytes());
+            }
+        }
+        h = fnv(h, &(self.oracle_sectors as u64).to_le_bytes());
+        fnv(h, &self.store_digest.to_le_bytes())
+    }
 }
 
 /// One client-side connection under drill.
@@ -522,6 +565,27 @@ fn chaos_drill_replays_bit_identically() {
     let first = run_drill(11);
     let second = run_drill(11);
     assert_eq!(first, second, "same seed, same drill, bit for bit");
+}
+
+/// Golden values for seed 11: replaying against itself cannot catch a
+/// change that reorders segments in a different but still deterministic
+/// way, so the digests and the whole-report fingerprint are pinned.
+/// `digests()` order: audit, TCP client A, TCP client B, TCP server,
+/// store.
+const GOLDEN_DIGESTS_SEED_11: [u64; 5] = [
+    0x40a7_bbf4_846d_b176,
+    0xa2b7_32b1_7f1a_5a0c,
+    0x9964_a462_1a6b_48e0,
+    0xf1ec_df5b_c192_4a17,
+    0x19c5_ff23_fd2b_421a,
+];
+const GOLDEN_FINGERPRINT_SEED_11: u64 = 0x6bc6_9edb_6d6a_cafb;
+
+#[test]
+fn chaos_drill_matches_golden_digests() {
+    let r = run_drill(11);
+    assert_eq!(r.digests(), GOLDEN_DIGESTS_SEED_11, "per-layer digests");
+    assert_eq!(r.fingerprint(), GOLDEN_FINGERPRINT_SEED_11, "whole report");
 }
 
 #[test]

@@ -19,7 +19,10 @@
 
 use paramecium::machine::Machine;
 use paramecium::netstack::simlink::{make_simlink, LinkConfig};
-use paramecium::netstack::tcp::{make_tcp, BASE_RTO, STAT_RETRANSMITS};
+use paramecium::netstack::tcp::{
+    make_tcp, BASE_RTO, KEEPALIVE_PROBES, STAT_DIGEST, STAT_RETRANSMITS, TIME_WAIT_CYCLES,
+};
+use paramecium::netstack::wire;
 use paramecium::prelude::*;
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -233,5 +236,314 @@ fn different_seeds_diverge() {
         (a.stats_a, a.stats_b),
         (b.stats_a, b.stats_b),
         "distinct seeds should produce distinct segment traces"
+    );
+}
+
+/// Golden segment-trace digests `(seed, endpoint A, endpoint B)`.
+/// Replaying a seed against itself cannot catch a change that emits
+/// segments in a different but still deterministic order; these can.
+const GOLDEN_SESSION_DIGESTS: [(u64, u64, u64); 3] = [
+    (7, 0x77b6_d9e9_bc45_fec2, 0x062a_270f_ca9d_6f81),
+    (1001, 0x215f_641c_f85c_cac6, 0x0f4a_a392_5480_1361),
+    (1002, 0xfaa4_7b28_5622_7864, 0x7a22_3625_6005_87d7),
+];
+
+#[test]
+fn session_digests_match_golden_values() {
+    for (seed, digest_a, digest_b) in GOLDEN_SESSION_DIGESTS {
+        let o = run_session(seed);
+        assert_eq!(
+            (o.stats_a[STAT_DIGEST] as u64, o.stats_b[STAT_DIGEST] as u64),
+            (digest_a, digest_b),
+            "seed {seed}: segment trace moved"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Timers on untouched connections.
+//
+// Each case opens 1,000 idle established connections, arms one timer
+// kind on one of them through the API, and from then on only pumps and
+// ticks: the armed connection is never touched again. The cycle at
+// which its state changes and both endpoints' segment digests are
+// pinned, and a tap under each endpoint checks that no other connection
+// puts a segment on the wire.
+// ---------------------------------------------------------------------
+
+/// Connections in the idle fleet.
+const FLEET: usize = 1_000;
+/// Index of the armed connection: mid-fleet, so connections on both
+/// sides of it in id order are idle.
+const ARMED: usize = 500;
+/// Clock advance per pump round.
+const STEP: u64 = 25_000;
+
+/// `(source port, destination port)` of every TCP frame sent.
+type TapLog = Arc<Mutex<Vec<(u16, u16)>>>;
+
+/// A `netdev` pass-through that logs the ports of every frame sent.
+fn tap(lower: ObjRef, log: TapLog) -> ObjRef {
+    ObjectBuilder::new("tap")
+        .state((lower, log))
+        .interface("netdev", |i| {
+            i.method("send", &[TypeTag::Bytes], TypeTag::Unit, |this, args| {
+                let frame = args[0].as_bytes()?.clone();
+                this.with_state(|(lower, log): &mut (ObjRef, TapLog)| {
+                    let (_, hdr, _) = wire::parse_tcp_frame(&frame).expect("tcp frame");
+                    log.lock().push((hdr.src_port, hdr.dst_port));
+                    lower.invoke("netdev", "send", &[Value::Bytes(frame.clone())])
+                })
+            })
+            .method("recv", &[], TypeTag::Bytes, |this, _| {
+                this.with_state(|(lower, _): &mut (ObjRef, TapLog)| {
+                    lower.invoke("netdev", "recv", &[])
+                })
+            })
+        })
+        .build()
+}
+
+struct Fleet {
+    machine: Arc<Mutex<Machine>>,
+    a: ObjRef,
+    b: ObjRef,
+    end_a: ObjRef,
+    end_b: ObjRef,
+    /// Frames sent by either endpoint since the fleet went idle.
+    log: TapLog,
+    /// The armed connection's ids at A and B.
+    armed: (i64, i64),
+    /// The armed connection's A-side local port.
+    armed_port: u16,
+}
+
+impl Fleet {
+    /// `FLEET` established connections from A to B over a perfect link,
+    /// pumped until the wire is quiet.
+    fn open() -> Fleet {
+        let machine = Arc::new(Mutex::new(Machine::new()));
+        let (end_a, end_b) = make_simlink(machine.clone(), LinkConfig::perfect(5));
+        let log = TapLog::default();
+        let a = make_tcp(
+            machine.clone(),
+            tap(end_a.clone(), log.clone()),
+            IP_A,
+            MAC_A,
+        );
+        let b = make_tcp(
+            machine.clone(),
+            tap(end_b.clone(), log.clone()),
+            IP_B,
+            MAC_B,
+        );
+        tcp(&b, "listen", &[Value::Int(PORT)]);
+        tcp(
+            &b,
+            "set_backlog",
+            &[Value::Int(PORT), Value::Int(FLEET as i64)],
+        );
+        let ids_a: Vec<i64> = (0..FLEET)
+            .map(|_| {
+                tcp(&a, "connect", &[Value::Int(IP_B as i64), Value::Int(PORT)])
+                    .as_int()
+                    .unwrap()
+            })
+            .collect();
+        let mut fleet = Fleet {
+            machine,
+            a,
+            b,
+            end_a,
+            end_b,
+            log,
+            armed: (0, 0),
+            armed_port: 0,
+        };
+        let mut ids_b = Vec::new();
+        while ids_b.len() < FLEET {
+            assert!(fleet.now() < 100 * STEP, "handshakes complete");
+            fleet.round();
+            loop {
+                let id = tcp(&fleet.b, "accept", &[Value::Int(PORT)])
+                    .as_int()
+                    .unwrap();
+                if id < 0 {
+                    break;
+                }
+                ids_b.push(id);
+            }
+        }
+        fleet.round();
+        fleet.round();
+        // Connections are accepted in the order A opened them.
+        fleet.armed = (ids_a[ARMED], ids_b[ARMED]);
+        // A sent every SYN from `connect`, before any other frame.
+        let ports: Vec<u16> = fleet.log.lock().iter().map(|&(src, _)| src).collect();
+        fleet.armed_port = ports
+            .iter()
+            .copied()
+            .filter(|&p| p != PORT as u16)
+            .nth(ARMED)
+            .expect("one SYN per connection");
+        fleet.log.lock().clear();
+        // Run past every handshake's retransmit deadline so the timers
+        // armed at connect time have all come and gone.
+        while fleet.now() < 2 * BASE_RTO {
+            fleet.round();
+        }
+        assert!(fleet.log.lock().is_empty(), "the fleet is idle");
+        fleet
+    }
+
+    fn now(&self) -> u64 {
+        self.machine.lock().now()
+    }
+
+    fn round(&self) {
+        tcp(&self.a, "pump", &[]);
+        tcp(&self.b, "pump", &[]);
+        self.machine.lock().tick(STEP);
+    }
+
+    /// Pumps until `done` holds; returns the clock reading of the round
+    /// whose pumps made it true.
+    fn run_until(&self, done: impl Fn(&Fleet) -> bool) -> u64 {
+        for _ in 0..1_000 {
+            let at = self.now();
+            self.round();
+            if done(self) {
+                return at;
+            }
+        }
+        panic!("armed timer never fired");
+    }
+
+    /// Checks the outcome against its golden `(cycle, frames, digest A,
+    /// digest B)`: the round the armed timer fired in, how many frames
+    /// went on the wire since the fleet went idle — every one of them
+    /// the armed connection's — and both segment-trace digests.
+    fn assert_outcome(&self, fired_at: u64, golden: (u64, usize, u64, u64)) {
+        let port = self.armed_port;
+        let log = self.log.lock();
+        for &(src, dst) in log.iter() {
+            assert!(
+                (src, dst) == (port, PORT as u16) || (src, dst) == (PORT as u16, port),
+                "idle connection emitted a segment: {src} -> {dst}"
+            );
+        }
+        let (digest_a, digest_b) = (
+            tcp_stats(&self.a)[STAT_DIGEST] as u64,
+            tcp_stats(&self.b)[STAT_DIGEST] as u64,
+        );
+        assert_eq!((fired_at, log.len(), digest_a, digest_b), golden);
+    }
+}
+
+fn set_drop(end: &ObjRef, permille: i64) {
+    let mut knobs = end
+        .invoke("link", "config", &[])
+        .unwrap()
+        .as_list()
+        .unwrap()
+        .to_vec();
+    knobs[0] = Value::Int(permille);
+    end.invoke("link", "set_config", &[Value::List(knobs)])
+        .unwrap();
+}
+
+#[test]
+fn retransmit_fires_on_an_untouched_connection() {
+    let f = Fleet::open();
+    let (id_a, _) = f.armed;
+    set_drop(&f.end_a, 1000);
+    tcp(
+        &f.a,
+        "send",
+        &[
+            Value::Int(id_a),
+            Value::Bytes(bytes::Bytes::from(vec![3u8; 100])),
+        ],
+    );
+    f.round();
+    set_drop(&f.end_a, 0);
+    let fired_at = f.run_until(|f| tcp_stats(&f.a)[STAT_RETRANSMITS] == 1);
+    f.round();
+    f.round();
+    f.assert_outcome(
+        fired_at,
+        (600_000, 3, 0x09cb_466f_d373_0ad8, 0xc684_c86b_dab3_9a1c),
+    );
+}
+
+#[test]
+fn time_wait_expires_on_an_untouched_connection() {
+    let f = Fleet::open();
+    let (id_a, id_b) = f.armed;
+    tcp(&f.a, "close", &[Value::Int(id_a)]);
+    f.round();
+    tcp(&f.b, "close", &[Value::Int(id_b)]);
+    let entered = f.run_until(|f| state_of(&f.a, id_a) == "time-wait");
+    let fired_at = f.run_until(|f| state_of(&f.a, id_a) == "closed");
+    assert!(fired_at >= entered + TIME_WAIT_CYCLES);
+    f.assert_outcome(
+        fired_at,
+        (1_250_000, 3, 0xc49b_3db5_8157_b2cd, 0xf418_8ae9_6190_a9f1),
+    );
+}
+
+#[test]
+fn keepalive_aborts_an_untouched_connection() {
+    let f = Fleet::open();
+    let (id_a, _) = f.armed;
+    tcp(
+        &f.a,
+        "set_keepalive",
+        &[Value::Int(id_a), Value::Int(300_000)],
+    );
+    set_drop(&f.end_a, 1000);
+    set_drop(&f.end_b, 1000);
+    let fired_at = f.run_until(|f| state_of(&f.a, id_a) == "closed");
+    assert_eq!(
+        tcp(&f.a, "error", &[Value::Int(id_a)]).as_str().unwrap(),
+        "keepalive-timeout"
+    );
+    f.assert_outcome(
+        fired_at,
+        (
+            1_600_000,
+            KEEPALIVE_PROBES as usize,
+            0x9df9_2012_76bf_4ded,
+            0x49d8_a524_20c4_e189,
+        ),
+    );
+}
+
+#[test]
+fn user_timeout_aborts_an_untouched_connection() {
+    let f = Fleet::open();
+    let (id_a, _) = f.armed;
+    tcp(
+        &f.a,
+        "set_user_timeout",
+        &[Value::Int(id_a), Value::Int(1_000_000)],
+    );
+    set_drop(&f.end_a, 1000);
+    tcp(
+        &f.a,
+        "send",
+        &[
+            Value::Int(id_a),
+            Value::Bytes(bytes::Bytes::from(vec![4u8; 2000])),
+        ],
+    );
+    let fired_at = f.run_until(|f| state_of(&f.a, id_a) == "closed");
+    assert_eq!(
+        tcp(&f.a, "error", &[Value::Int(id_a)]).as_str().unwrap(),
+        "user-timeout"
+    );
+    f.assert_outcome(
+        fired_at,
+        (1_425_000, 4, 0xb3f1_167e_864c_4ace, 0x49d8_a524_20c4_e189),
     );
 }
