@@ -18,6 +18,11 @@
 //! and `echo_roundtrip_1024conns` (per-roundtrip cost with 1024
 //! established connections live in the endpoint — the many-client
 //! steady-state the experiments record as per-packet ns).
+//!
+//! The `pump_idle_{1k,10k,100k}` rows time one `pump` of an endpoint
+//! holding that many established idle connections (two endpoints over a
+//! perfect `simlink`). A pump visits only connections with work or a
+//! timer due, so the three rows must read flat across N.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use paramecium::core::memsvc::MemService;
@@ -27,7 +32,8 @@ use paramecium::netstack::{
     filter::make_l4_port_filter,
     monitor::make_network_monitor,
     route::{make_router, RouteIf},
-    tcp::make_tcp,
+    simlink::{make_simlink, LinkConfig},
+    tcp::{make_tcp, BASE_RTO},
 };
 use paramecium::prelude::*;
 use parking_lot::Mutex;
@@ -245,6 +251,65 @@ impl Net {
     }
 }
 
+/// Client-side ephemeral ports per destination (49152..=65535).
+const EPHEMERAL_PORTS: usize = 16_384;
+
+/// A server endpoint holding `n` established idle connections from one
+/// client over a perfect simlink, pumped past every handshake timer.
+/// Connections spread over several server ports so the client's
+/// ephemeral ports never collide.
+fn idle_server(n: usize) -> ObjRef {
+    let machine = Arc::new(Mutex::new(Machine::new()));
+    let (end_c, end_s) = make_simlink(machine.clone(), LinkConfig::perfect(1));
+    let client = make_tcp(machine.clone(), end_c, CLIENT_A_IP, [2, 0, 0, 0, 0, 0xA]);
+    let server = make_tcp(machine.clone(), end_s, SERVER_IP, [2, 0, 0, 0, 0, 0x51]);
+    let ports = n.div_ceil(EPHEMERAL_PORTS);
+    for p in 0..ports {
+        let port = PORT + p as i64;
+        server.invoke("tcp", "listen", &[Value::Int(port)]).unwrap();
+        server
+            .invoke(
+                "tcp",
+                "set_backlog",
+                &[Value::Int(port), Value::Int(n as i64)],
+            )
+            .unwrap();
+    }
+    for i in 0..n {
+        let port = PORT + (i / EPHEMERAL_PORTS) as i64;
+        client
+            .invoke(
+                "tcp",
+                "connect",
+                &[Value::Int(i64::from(SERVER_IP)), Value::Int(port)],
+            )
+            .unwrap();
+    }
+    while machine.lock().now() < 2 * BASE_RTO {
+        client.invoke("tcp", "pump", &[]).unwrap();
+        server.invoke("tcp", "pump", &[]).unwrap();
+        machine.lock().tick(BASE_RTO / 4);
+    }
+    let established = (0..ports)
+        .map(|p| accept_all(&server, PORT + p as i64))
+        .sum::<usize>();
+    assert_eq!(established, n, "handshakes complete");
+    server
+}
+
+/// Accepts everything queued on `port`; returns how many.
+fn accept_all(server: &ObjRef, port: i64) -> usize {
+    std::iter::from_fn(|| {
+        let id = server
+            .invoke("tcp", "accept", &[Value::Int(port)])
+            .unwrap()
+            .as_int()
+            .unwrap();
+        (id >= 0).then_some(id)
+    })
+    .count()
+}
+
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e14_netstack");
 
@@ -281,6 +346,21 @@ fn bench(c: &mut Criterion) {
             net.echo_roundtrips(&a_slice, &b_slice, &payload);
         })
     });
+    drop(net);
+
+    // One pump of an endpoint whose connections are all idle. Each
+    // fleet is dropped before the next is built.
+    g.throughput(Throughput::Elements(1));
+    for (name, n) in [
+        ("pump_idle_1k", 1_000),
+        ("pump_idle_10k", 10_000),
+        ("pump_idle_100k", 100_000),
+    ] {
+        let server = idle_server(n);
+        g.bench_function(name, |b| {
+            b.iter(|| server.invoke("tcp", "pump", &[]).unwrap())
+        });
+    }
 
     g.finish();
 }

@@ -27,6 +27,8 @@
 //!   pure ACKs, FINs, zero-window probes). Everything is driven by
 //!   explicit `pump` calls, so a whole multi-host exchange is a
 //!   deterministic function of the machine clock and the link seed.
+//!   A pump costs O(frames received + connections with work + timers
+//!   due): idle connections are not visited at all.
 //!
 //! The implementation covers the three-way handshake, sequence/ack
 //! tracking, retransmission with exponential RTO backoff, sliding-window
@@ -39,7 +41,8 @@
 //! digest exposed through `stats`, which is what the determinism tests
 //! compare across replays.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use paramecium_machine::Machine;
@@ -160,6 +163,11 @@ struct Conn {
     /// Why the connection died, for `error(id)`; `None` while healthy
     /// or after a clean close.
     err: Option<&'static str>,
+    /// Listed in `TcpState::ready`: the next pump visits it.
+    ready: bool,
+    /// Deadline of this connection's live entry in `TcpState::timers`;
+    /// its real next deadline is never earlier.
+    queued_at: Option<u64>,
 }
 
 impl Conn {
@@ -196,7 +204,38 @@ impl Conn {
             ka_probes: 0,
             last_rx: 0,
             err: None,
+            ready: false,
+            queued_at: None,
         }
+    }
+
+    /// The earliest clock reading at which a pump visit could change
+    /// this connection without it being touched first, right after a
+    /// visit at `now`: the retransmit, TIME-WAIT, user-timeout and
+    /// keepalive deadlines. Data that went out unacknowledged in this
+    /// visit yields `now` itself, because `pump_timer` stamps
+    /// `stalled_since` on the pump after the send.
+    fn next_deadline(&self, now: u64) -> Option<u64> {
+        if self.state == State::Closed {
+            return None;
+        }
+        let time_wait = (self.state == State::TimeWait).then_some(self.timewait_at);
+        let stall = (self.user_timeout > 0 && self.snd_una < self.snd_nxt).then(|| {
+            self.stalled_since
+                .map_or(now, |since| since.saturating_add(self.user_timeout))
+        });
+        let keepalive = (self.keepalive > 0
+            && self.state == State::Established
+            && self.snd_una == self.snd_nxt)
+            .then(|| {
+                self.last_rx
+                    .max(self.ka_sent_at)
+                    .saturating_add(self.keepalive)
+            });
+        [self.rtx_at, time_wait, stall, keepalive]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     /// Transition to `Closed` with a diagnostic reason. Idempotent: a
@@ -285,19 +324,28 @@ struct TcpState {
     ip: u32,
     mac: Mac,
     filter: Option<ObjRef>,
-    /// Keyed by connection id. `pump` sorts the ids before servicing so
-    /// segment emission order is deterministic (replay tests compare
-    /// segment traces bit-for-bit) without paying tree-map lookups on
-    /// every data-path access — with ~1k live connections that cost was
-    /// measurable in `b14_netstack`.
-    conns: HashMap<i64, Conn>,
+    /// Connection slab indexed by id. Ids are handed out in order from 1
+    /// (the next one is `conns.len()`; slot 0 stays empty) and never
+    /// reused; a connection refused at a full backlog leaves its slot
+    /// empty.
+    conns: Vec<Option<Conn>>,
     /// (peer ip, peer port, local port) -> connection id.
     demux: HashMap<(u32, u16, u16), i64>,
     /// Listening port -> accept queue.
     listeners: HashMap<u16, Listener>,
-    next_id: i64,
     next_port: u16,
     stats: TcpStats,
+    /// Min-heap of `(deadline, id)` over every connection timer, one live
+    /// entry per connection (`Conn::queued_at`). Entries are revalidated
+    /// lazily: a deadline that moves later leaves its entry in place, so
+    /// an entry may fire early (the visit finds nothing due and pushes
+    /// the real deadline), never late.
+    timers: BinaryHeap<Reverse<(u64, i64)>>,
+    /// Connections touched since their last visit, unordered.
+    ready: Vec<i64>,
+    /// The batch `pump` is visiting; swapped with `ready` so neither
+    /// buffer reallocates once warm.
+    visiting: Vec<i64>,
 }
 
 /// One listening port: established-but-unaccepted connections queue
@@ -317,6 +365,12 @@ impl Default for Listener {
     }
 }
 
+/// The live connection `id` in the slab; every internal caller holds a
+/// valid id.
+fn conn_at(conns: &mut [Option<Conn>], id: i64) -> &mut Conn {
+    conns[id as usize].as_mut().expect("conn exists")
+}
+
 /// Deterministic initial sequence number for connection `id`.
 fn isn(id: i64) -> u32 {
     ((id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32
@@ -327,8 +381,18 @@ impl TcpState {
         self.machine.lock().now()
     }
 
+    /// Queues connection `id` for the next pump's visit.
+    fn mark_ready(&mut self, id: i64) {
+        if let Some(conn) = self.conns[id as usize].as_mut() {
+            if !conn.ready {
+                conn.ready = true;
+                self.ready.push(id);
+            }
+        }
+    }
+
     fn dst_mac(&mut self, id: i64) -> Result<Mac, ObjError> {
-        let conn = self.conns.get(&id).expect("conn exists");
+        let conn = conn_at(&mut self.conns, id);
         if let Some(mac) = conn.peer_mac {
             return Ok(mac);
         }
@@ -339,7 +403,7 @@ impl TcpState {
             MAC_BROADCAST
         };
         if mac != MAC_BROADCAST {
-            self.conns.get_mut(&id).expect("conn exists").peer_mac = Some(mac);
+            conn_at(&mut self.conns, id).peer_mac = Some(mac);
         }
         Ok(mac)
     }
@@ -347,7 +411,7 @@ impl TcpState {
     /// Builds and transmits one segment for connection `id`.
     fn emit(&mut self, id: i64, flags: u8, seq: u32, payload: &[u8]) -> Result<(), ObjError> {
         let dst_mac = self.dst_mac(id)?;
-        let conn = self.conns.get_mut(&id).expect("conn exists");
+        let conn = conn_at(&mut self.conns, id);
         let hdr = TcpHeader {
             src_port: conn.local_port,
             dst_port: conn.peer_port,
@@ -391,13 +455,13 @@ impl TcpState {
     }
 
     fn arm_rtx(&mut self, id: i64, now: u64) {
-        let conn = self.conns.get_mut(&id).expect("conn exists");
+        let conn = conn_at(&mut self.conns, id);
         conn.rtx_at = Some(now + conn.rto);
     }
 
     /// Our FIN was acknowledged — advance the close handshake.
     fn on_fin_acked(&mut self, id: i64, now: u64) {
-        let conn = self.conns.get_mut(&id).expect("conn exists");
+        let conn = conn_at(&mut self.conns, id);
         conn.fin_acked = true;
         match conn.state {
             State::FinWait1 => conn.state = State::FinWait2,
@@ -414,7 +478,7 @@ impl TcpState {
 
     /// The peer's FIN has been consumed in order — advance teardown.
     fn on_peer_fin(&mut self, id: i64, now: u64) {
-        let conn = self.conns.get_mut(&id).expect("conn exists");
+        let conn = conn_at(&mut self.conns, id);
         conn.peer_fin_rcvd = true;
         match conn.state {
             State::SynRcvd | State::Established => conn.state = State::CloseWait,
@@ -442,7 +506,7 @@ impl TcpState {
         payload: &[u8],
         now: u64,
     ) -> Result<(), ObjError> {
-        let conn = self.conns.get_mut(&id).expect("conn exists");
+        let conn = conn_at(&mut self.conns, id);
         conn.last_rx = now;
         conn.ka_probes = 0;
         if hdr.flags & tcp_flags::RST != 0 {
@@ -488,12 +552,12 @@ impl TcpState {
                     // with an RST so the peer fails fast instead of
                     // sitting established against a stalled acceptor.
                     self.stats.backlog_dropped += 1;
-                    self.conns.remove(&id);
+                    self.conns[id as usize] = None;
                     self.demux.remove(&key);
                     return self.emit_rst(peer_mac, peer_ip, hdr);
                 }
                 lst.backlog.push_back(id);
-                let conn = self.conns.get_mut(&id).expect("conn exists");
+                let conn = conn_at(&mut self.conns, id);
                 conn.state = State::Established;
                 conn.peer_wnd_edge = u64::from(hdr.window);
                 conn.rtx_at = None;
@@ -505,7 +569,7 @@ impl TcpState {
             _ => {}
         }
 
-        let conn = self.conns.get_mut(&id).expect("conn exists");
+        let conn = conn_at(&mut self.conns, id);
 
         // A retransmitted SYN/SYN-ACK means our ACK was lost: re-ack.
         if hdr.flags & tcp_flags::SYN != 0 {
@@ -644,6 +708,7 @@ impl TcpState {
             let key = (ip.src, hdr.src_port, hdr.dst_port);
             if let Some(&id) = self.demux.get(&key) {
                 self.segment_in(id, &hdr, payload, now)?;
+                self.mark_ready(id);
                 continue;
             }
             // No connection: a SYN to a listening port opens one.
@@ -651,8 +716,7 @@ impl TcpState {
                 && hdr.flags & tcp_flags::ACK == 0
                 && self.listeners.contains_key(&hdr.dst_port)
             {
-                let id = self.next_id;
-                self.next_id += 1;
+                let id = self.conns.len() as i64;
                 let mut conn =
                     Conn::new(ip.src, hdr.src_port, hdr.dst_port, isn(id), State::SynRcvd);
                 conn.irs = hdr.seq;
@@ -660,12 +724,13 @@ impl TcpState {
                 conn.peer_wnd_edge = u64::from(hdr.window);
                 let src_mac: Mac = frame[6..12].try_into().expect("6 bytes");
                 conn.peer_mac = Some(src_mac);
-                self.conns.insert(id, conn);
+                self.conns.push(Some(conn));
                 self.demux.insert(key, id);
                 // SYN-ACK, covered by the retransmit timer.
                 let seq = isn(id);
                 self.emit(id, tcp_flags::SYN | tcp_flags::ACK, seq, &[])?;
                 self.arm_rtx(id, now);
+                self.mark_ready(id);
                 continue;
             }
             if hdr.flags & tcp_flags::RST == 0 {
@@ -679,7 +744,7 @@ impl TcpState {
     /// Retransmission / TIME-WAIT / user-timeout / keepalive timer pass
     /// for one connection.
     fn pump_timer(&mut self, id: i64, now: u64) -> Result<(), ObjError> {
-        let conn = self.conns.get_mut(&id).expect("conn exists");
+        let conn = conn_at(&mut self.conns, id);
         if conn.state == State::TimeWait && now >= conn.timewait_at {
             conn.state = State::Closed;
             return Ok(());
@@ -720,7 +785,7 @@ impl TcpState {
                 self.emit(id, tcp_flags::ACK, seq, &[0])?;
             }
         }
-        let conn = self.conns.get_mut(&id).expect("conn exists");
+        let conn = conn_at(&mut self.conns, id);
         let Some(due) = conn.rtx_at else {
             return Ok(());
         };
@@ -750,7 +815,7 @@ impl TcpState {
             _ => {
                 // Resend from snd_una: one MSS of data, or the FIN.
                 let (seq, chunk, fin) = {
-                    let conn = self.conns.get_mut(&id).expect("conn exists");
+                    let conn = conn_at(&mut self.conns, id);
                     let unacked =
                         (conn.snd_nxt - conn.snd_una).min(conn.send_buf.len() as u64) as usize;
                     if unacked > 0 {
@@ -790,7 +855,7 @@ impl TcpState {
     fn pump_tx(&mut self, id: i64, now: u64) -> Result<i64, ObjError> {
         let mut sent = 0i64;
         loop {
-            let conn = self.conns.get_mut(&id).expect("conn exists");
+            let conn = conn_at(&mut self.conns, id);
             if matches!(conn.state, State::Closed | State::SynSent | State::SynRcvd) {
                 break;
             }
@@ -853,24 +918,84 @@ impl TcpState {
         Ok(sent)
     }
 
+    /// One visit: the timer pass, then the output pass, then the
+    /// connection's next deadline goes on the timer heap unless its live
+    /// entry is already at or before it.
+    fn visit(&mut self, id: i64, now: u64) -> Result<i64, ObjError> {
+        self.pump_timer(id, now)?;
+        let sent = self.pump_tx(id, now)?;
+        let conn = conn_at(&mut self.conns, id);
+        conn.ready = false;
+        if let Some(due) = conn.next_deadline(now) {
+            if conn.queued_at.is_none_or(|queued| due < queued) {
+                conn.queued_at = Some(due);
+                self.timers.push(Reverse((due, id)));
+            }
+        }
+        Ok(sent)
+    }
+
+    /// Visits `batch` in order. On an error, the connections not yet
+    /// visited stay ready for the next pump.
+    fn visit_all(&mut self, batch: &[i64], now: u64) -> Result<i64, ObjError> {
+        let mut sent = 0;
+        for (i, &id) in batch.iter().enumerate() {
+            // An empty slot is a connection the backlog refused.
+            if self.conns[id as usize].is_none() {
+                continue;
+            }
+            match self.visit(id, now) {
+                Ok(n) => sent += n,
+                Err(e) => {
+                    self.ready.extend_from_slice(&batch[i..]);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(sent)
+    }
+
+    /// Receives, then visits exactly the connections that may have work:
+    /// those touched since their last visit (by a segment or an API
+    /// call) and those with a timer due, including a visit that left a
+    /// stall to stamp. Cost: O(frames received + connections with work
+    /// + timers due), not O(live connections).
+    ///
+    /// Determinism contract: visits run in ascending id order, and a
+    /// connection that is idle and not due would do nothing if visited,
+    /// so the segment trace is bit-identical to visiting every
+    /// connection in id order on every pump.
     fn pump(&mut self) -> Result<i64, ObjError> {
         let now = self.now();
-        let mut handled = self.pump_rx(now)?;
-        // Sorted so timers and transmissions are serviced in id order no
-        // matter what the hash map's iteration order is — determinism of
-        // the segment trace is part of the endpoint's contract.
-        let mut ids: Vec<i64> = self.conns.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            self.pump_timer(id, now)?;
-            handled += self.pump_tx(id, now)?;
+        let handled = self.pump_rx(now)?;
+        while let Some(&Reverse((due, id))) = self.timers.peek() {
+            if due > now {
+                break;
+            }
+            self.timers.pop();
+            // Only a connection's latest entry is live; an older, later
+            // one it superseded is dropped without a visit.
+            if let Some(conn) = self.conns[id as usize].as_mut() {
+                if conn.queued_at == Some(due) {
+                    conn.queued_at = None;
+                    self.mark_ready(id);
+                }
+            }
         }
-        Ok(handled)
+        let mut batch = std::mem::take(&mut self.visiting);
+        std::mem::swap(&mut batch, &mut self.ready);
+        batch.sort_unstable();
+        let sent = self.visit_all(&batch, now);
+        batch.clear();
+        self.visiting = batch;
+        Ok(handled + sent?)
     }
 
     fn conn_mut(&mut self, id: i64) -> Result<&mut Conn, ObjError> {
-        self.conns
-            .get_mut(&id)
+        usize::try_from(id)
+            .ok()
+            .and_then(|slot| self.conns.get_mut(slot))
+            .and_then(Option::as_mut)
             .ok_or_else(|| ObjError::failed(format!("no such connection {id}")))
     }
 }
@@ -887,12 +1012,14 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
             ip,
             mac,
             filter: None,
-            conns: HashMap::new(),
+            conns: vec![None],
             demux: HashMap::new(),
             listeners: HashMap::new(),
-            next_id: 1,
             next_port: 49152,
             stats: TcpStats::default(),
+            timers: BinaryHeap::new(),
+            ready: Vec::new(),
+            visiting: Vec::new(),
         })
         .interface("tcp", |i| {
             i.method("listen", &[TypeTag::Int], TypeTag::Unit, |this, args| {
@@ -913,17 +1040,17 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                     let dst_port = u16::try_from(args[1].as_int()?)
                         .map_err(|_| ObjError::failed("port out of range"))?;
                     this.with_state(|s: &mut TcpState| {
-                        let id = s.next_id;
-                        s.next_id += 1;
+                        let id = s.conns.len() as i64;
                         let local_port = s.next_port;
                         s.next_port = s.next_port.wrapping_add(1).max(49152);
                         let conn = Conn::new(dst_ip, dst_port, local_port, isn(id), State::SynSent);
-                        s.conns.insert(id, conn);
+                        s.conns.push(Some(conn));
                         s.demux.insert((dst_ip, dst_port, local_port), id);
                         let now = s.now();
                         let seq = isn(id);
                         s.emit(id, tcp_flags::SYN, seq, &[])?;
                         s.arm_rtx(id, now);
+                        s.mark_ready(id);
                         Ok(Value::Int(id))
                     })
                 },
@@ -963,6 +1090,7 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                         let room = SEND_BUF_MAX - conn.send_buf.len();
                         let take = room.min(data.len());
                         conn.send_buf.extend(&data[..take]);
+                        s.mark_ready(id);
                         Ok(Value::Int(take as i64))
                     })
                 },
@@ -978,11 +1106,13 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                     this.with_state(|s: &mut TcpState| {
                         let conn = s.conn_mut(id)?;
                         let take = conn.recv_buf.len().min(max);
-                        let out: Vec<u8> = conn.recv_buf.drain(..take).collect();
-                        if take > 0 {
-                            // Freed window: owe the peer an update.
-                            conn.ack_pending = true;
+                        if take == 0 {
+                            return Ok(Value::Bytes(bytes::Bytes::new()));
                         }
+                        let out: Vec<u8> = conn.recv_buf.drain(..take).collect();
+                        // Freed window: owe the peer an update.
+                        conn.ack_pending = true;
+                        s.mark_ready(id);
                         Ok(Value::Bytes(bytes::Bytes::from(out)))
                     })
                 },
@@ -994,6 +1124,7 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                     if conn.stream_end.is_none() {
                         conn.stream_end = Some(conn.snd_una + conn.send_buf.len() as u64);
                     }
+                    s.mark_ready(id);
                     Ok(Value::Unit)
                 })
             })
@@ -1021,6 +1152,7 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                         let conn = s.conn_mut(id)?;
                         conn.user_timeout = cycles;
                         conn.stalled_since = None;
+                        s.mark_ready(id);
                         Ok(Value::Unit)
                     })
                 },
@@ -1042,6 +1174,7 @@ pub fn make_tcp(machine: Arc<Mutex<Machine>>, lower: ObjRef, ip: u32, mac: Mac) 
                         // birth, so the first probe is one full
                         // interval out.
                         conn.last_rx = conn.last_rx.max(now);
+                        s.mark_ready(id);
                         Ok(Value::Unit)
                     })
                 },

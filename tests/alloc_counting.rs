@@ -261,3 +261,98 @@ fn arg_frame_inline_push_is_zero_alloc() {
     });
     assert_eq!(allocs, 0, "inline frames must live entirely on the stack");
 }
+
+/// Two TCP endpoints over a perfect simlink with `n` established
+/// connections from `a` to `b`, pumped until the wire is quiet and every
+/// handshake's retransmit deadline has passed. Returns the machine, the
+/// endpoints and `b`'s connection ids.
+fn idle_tcp_fleet(
+    n: usize,
+) -> (
+    std::sync::Arc<parking_lot::Mutex<paramecium::machine::Machine>>,
+    ObjRef,
+    ObjRef,
+    Vec<i64>,
+) {
+    use paramecium::machine::Machine;
+    use paramecium::netstack::simlink::{make_simlink, LinkConfig};
+    use paramecium::netstack::tcp::{make_tcp, BASE_RTO};
+
+    let machine = std::sync::Arc::new(parking_lot::Mutex::new(Machine::new()));
+    let (end_a, end_b) = make_simlink(machine.clone(), LinkConfig::perfect(3));
+    let a = make_tcp(machine.clone(), end_a, 0x0A00_0001, [2, 0, 0, 0, 0, 0xA]);
+    let b = make_tcp(machine.clone(), end_b, 0x0A00_0002, [2, 0, 0, 0, 0, 0xB]);
+    b.invoke("tcp", "listen", &[Value::Int(80)]).unwrap();
+    b.invoke(
+        "tcp",
+        "set_backlog",
+        &[Value::Int(80), Value::Int(n as i64)],
+    )
+    .unwrap();
+    for _ in 0..n {
+        a.invoke("tcp", "connect", &[Value::Int(0x0A00_0002), Value::Int(80)])
+            .unwrap();
+    }
+    for _ in 0..16 {
+        a.invoke("tcp", "pump", &[]).unwrap();
+        b.invoke("tcp", "pump", &[]).unwrap();
+        machine.lock().tick(BASE_RTO / 4);
+    }
+    let ids = (0..n)
+        .map(|_| {
+            let id = b
+                .invoke("tcp", "accept", &[Value::Int(80)])
+                .unwrap()
+                .as_int()
+                .unwrap();
+            assert!(id >= 0, "handshake completes");
+            id
+        })
+        .collect();
+    (machine, a, b, ids)
+}
+
+#[test]
+fn idle_tcp_pump_over_1k_connections_is_zero_alloc() {
+    // An endpoint's pump visits only connections with work or a timer
+    // due; with 1,024 idle established connections it must find nothing
+    // to do without touching the heap — no per-pump id list, no empty
+    // frame buffer from the lower netdev.
+    let (machine, a, b, _) = idle_tcp_fleet(1024);
+    let pump = || {
+        a.invoke("tcp", "pump", &[]).unwrap();
+        b.invoke("tcp", "pump", &[]).unwrap();
+        machine.lock().tick(1_000);
+    };
+    for _ in 0..8 {
+        pump();
+    }
+    let allocs = count_allocs(|| {
+        for _ in 0..CALLS {
+            pump();
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "idle pumps must not allocate ({allocs} allocs / {CALLS} pump rounds)"
+    );
+}
+
+#[test]
+fn idle_tcp_recv_poll_is_zero_alloc() {
+    // Servers poll every connection with `recv`; a poll that finds the
+    // receive buffer empty returns the shared empty `Bytes`.
+    let (_machine, _a, b, ids) = idle_tcp_fleet(4);
+    let args = [Value::Int(ids[0]), Value::Int(1 << 16)];
+    b.invoke("tcp", "recv", &args).unwrap();
+    let allocs = count_allocs(|| {
+        for _ in 0..CALLS {
+            let got = b.invoke("tcp", "recv", &args).unwrap();
+            assert!(got.as_bytes().unwrap().is_empty());
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "empty recv polls must not allocate ({allocs} allocs / {CALLS} polls)"
+    );
+}
