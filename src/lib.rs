@@ -23,7 +23,8 @@
 //! | [`cert`] | Certificates, authority, delegation chains, certifier subordinates, escape hatch |
 //! | [`core`] | **The nucleus**: domains, the four services, proxies, repository, loader |
 //! | [`threads`] | Thread package with pop-up threads and the proto-thread fast path |
-//! | [`netstack`] | NIC driver object, UDP/IP stack, packet filters, interposing monitor |
+//! | [`netstack`] | Network objects: NIC driver, seeded lossy link, ARP, longest-prefix router, UDP/IP and TCP endpoints, packet filters, interposing monitor |
+//! | [`store`] | Crash-safe storage stack: disk driver, retry, write-ahead journal, sharded write-back cache |
 //!
 //! ## Quick start
 //!
