@@ -13,7 +13,10 @@
 //! Determinism rides along: the whole exchange is a pure function of the
 //! machine clock and the seeds, so replaying a session must reproduce
 //! bit-identical endpoint stats — including the FNV digest folded over
-//! every transmitted and received segment (the segment trace).
+//! every transmitted and received segment (the segment trace). Golden
+//! digests pin that trace across code changes, and a fleet of 1,000
+//! idle connections checks that each timer kind fires on a connection
+//! the application never touches again, at the pinned cycle.
 //!
 //! [`simlink`]: paramecium::netstack::simlink
 
