@@ -1,9 +1,11 @@
 //! Shared helpers for the Criterion benchmarks.
 //!
-//! Each bench target regenerates one experiment from DESIGN.md §3
-//! (`benches/b1_…` through `b9_…`). Criterion measures host wall-clock of
-//! the real code paths; the deterministic simulated-cycle tables come from
-//! `cargo run --release --example experiments` in the root crate.
+//! Bench targets `b1_…` through `b9_…` time the code paths behind the
+//! experiment tables E1–E9 that `cargo run --release --example
+//! experiments` prints (one target per table); `b10_…` onwards cover the
+//! store, world pool, SFI, journal, netstack and chaos engine. Criterion
+//! measures host wall-clock of the real code paths; the deterministic
+//! simulated-cycle tables come from the example.
 
 use paramecium::prelude::*;
 

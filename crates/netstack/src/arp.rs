@@ -1,12 +1,13 @@
 //! The ARP object: address resolution as an interposable netdev layer.
 //!
 //! [`make_arp`] wraps any `netdev`-exporting object (the NIC driver, a
-//! monitor, a [`crate::simlink`] endpoint) and exports **both** the same
-//! `netdev` interface and an `arp` interface. Protocol objects above it
-//! (`udp`, `tcp`) keep talking plain `netdev`; ARP traffic never reaches
-//! them — requests addressed to this host are answered in-line from
-//! `recv`, replies and gratuitous announcements populate the cache, and
-//! everything else passes through untouched.
+//! monitor, a [`crate::simlink`] endpoint) and exports **both** the
+//! `netdev` data path (`send`, `recv`, `pending`; the lower layer's
+//! `stats` is read from it directly) and an `arp` interface. Protocol
+//! objects above it (`udp`, `tcp`) keep talking plain `netdev`; ARP
+//! traffic never reaches them — requests addressed to this host are
+//! answered in-line from `recv`, replies and gratuitous announcements
+//! populate the cache, and everything else passes through untouched.
 //!
 //! Outbound IPv4 frames addressed to the link-broadcast MAC — the
 //! signature of an upper layer that could not resolve its next hop —
@@ -192,10 +193,6 @@ pub fn make_arp(lower: ObjRef, ip: u32, mac: Mac) -> ObjRef {
             .method("pending", &[], TypeTag::Int, |this, _| {
                 let lower = this.with_state(|s: &mut ArpState| Ok(s.lower.clone()))?;
                 lower.invoke("netdev", "pending", &[])
-            })
-            .method("stats", &[], TypeTag::List, |this, _| {
-                let lower = this.with_state(|s: &mut ArpState| Ok(s.lower.clone()))?;
-                lower.invoke("netdev", "stats", &[])
             })
         })
         .interface("arp", |i| {

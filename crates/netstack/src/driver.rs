@@ -33,8 +33,6 @@ struct DriverState {
     domain: DomainId,
     nic: String,
     regs: IoRegionId,
-    #[allow(dead_code)] // Held to model the shared buffer claim.
-    buffers: IoRegionId,
     rx_frames: u64,
     tx_frames: u64,
     rx_bytes: u64,
@@ -91,7 +89,6 @@ pub fn make_driver_on(mem: &Arc<MemService>, domain: DomainId, nic: &str) -> Cor
         domain,
         nic: nic.to_string(),
         regs,
-        buffers,
         rx_frames: 0,
         tx_frames: 0,
         rx_bytes: 0,

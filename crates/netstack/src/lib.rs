@@ -28,7 +28,10 @@
 //!   request queuing and reply generation), [`route`] (a longest-prefix
 //!   router spanning two or more lower drivers, with per-route counters)
 //!   and [`monitor`] (the paper's interposing network monitor, installed
-//!   by replacing `/shared/network` in the name space).
+//!   by replacing `/shared/network` in the name space). ARP and the
+//!   router implement only the data path (`send`, `recv`, `pending`);
+//!   a provider's `netdev stats` is read from the provider itself, and
+//!   each interposer reports its own counters on its own interface.
 //! - **endpoints** — [`stack`] (a UDP/IP endpoint) and [`tcp`] (a
 //!   minimal-but-correct TCP: 3-way handshake, sequence/ack tracking,
 //!   retransmission with exponential RTO backoff, sliding-window flow

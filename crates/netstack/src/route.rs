@@ -5,8 +5,9 @@
 //! (a NIC driver on its own device, a monitor around one, a simulated
 //! link endpoint) plus that interface's IP/MAC — and exports:
 //!
-//! - the plain `netdev` interface, so a protocol object (UDP/TCP stack)
-//!   layers on the router exactly as it layers on a single driver:
+//! - the `netdev` data path (`send`, `recv`, `pending`; each member's
+//!   `stats` is read from the member), so a protocol object (UDP/TCP
+//!   stack) layers on the router exactly as it layers on a single driver:
 //!   `send` picks the egress interface by longest-prefix match on the
 //!   IPv4 destination, `recv` drains the member devices round-robin;
 //! - a `route` interface for the table itself:
@@ -340,25 +341,6 @@ pub fn make_router(ifs: Vec<RouteIf>) -> ObjRef {
                         total += rif.dev.invoke("netdev", "pending", &[])?.as_int()?;
                     }
                     Ok(Value::Int(total))
-                })
-            })
-            .method("stats", &[], TypeTag::List, |this, _| {
-                // Aggregate member stats element-wise (they share the
-                // driver's [rx, tx, rx_bytes, tx_bytes, dropped] shape).
-                this.with_state(|s: &mut RouterState| {
-                    let mut agg: Vec<i64> = Vec::new();
-                    for rif in &s.ifs {
-                        let stats = rif.dev.invoke("netdev", "stats", &[])?;
-                        for (i, v) in stats.as_list()?.iter().enumerate() {
-                            let n = v.as_int().unwrap_or(0);
-                            if i < agg.len() {
-                                agg[i] += n;
-                            } else {
-                                agg.push(n);
-                            }
-                        }
-                    }
-                    Ok(Value::List(agg.into_iter().map(Value::Int).collect()))
                 })
             })
         })

@@ -821,19 +821,6 @@ fn cache_flush(shared: &CacheShared) -> ObjResult<Value> {
     Ok(Value::Int(dirty.len() as i64))
 }
 
-/// Builds a single-shard block cache of `capacity` sectors over `backing`
-/// (any object exporting `blockdev`).
-#[deprecated(note = "use store::StackBuilder::on(backing).cache(capacity).build()")]
-pub fn make_block_cache(backing: ObjRef, capacity: usize) -> ObjRef {
-    build_sharded_block_cache(backing, capacity, 1)
-}
-
-/// Builds a sharded block cache over `backing`.
-#[deprecated(note = "use store::StackBuilder::on(backing).sharded_cache(capacity, shards).build()")]
-pub fn make_sharded_block_cache(backing: ObjRef, capacity: usize, shards: usize) -> ObjRef {
-    build_sharded_block_cache(backing, capacity, shards)
-}
-
 /// Builds a block cache of `capacity` total sectors over `backing`,
 /// sharded `shards` ways by sector — the implementation behind
 /// [`crate::StackBuilder`]'s cache layer. The shard count is rounded up
@@ -893,13 +880,16 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
             let s_read_many = blockdev_shared.clone();
             let s_write_many = blockdev_shared.clone();
             let s_sectors = blockdev_shared.clone();
-            let s_stats = blockdev_shared.clone();
             let s_bd_flush = blockdev_shared.clone();
             let s_bd_barrier = blockdev_shared.clone();
             let s_begin = blockdev_shared.clone();
             let s_txn_write = blockdev_shared.clone();
             let s_commit = blockdev_shared.clone();
             let s_abort = blockdev_shared.clone();
+            // Unlike the driver and the journal, the cache keeps `read`
+            // and `write` apart from the batch verbs: they carry the
+            // lock-once hit path and the eviction's
+            // `EVICTION_WRITEBACK_BATCH` coalescing.
             i.method("read", &[TypeTag::Int], TypeTag::Bytes, move |_, args| {
                 cache_read(&s_read, args[0].as_int()?)
             })
@@ -942,9 +932,6 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
             )
             .method("sectors", &[], TypeTag::Int, move |_, _| {
                 s_sectors.backing.invoke("blockdev", "sectors", &[])
-            })
-            .method("stats", &[], TypeTag::List, move |_, _| {
-                s_stats.backing.invoke("blockdev", "stats", &[])
             })
             .method("flush", &[], TypeTag::Int, move |_, _| {
                 // Own dirty lines first, then the layer below — a

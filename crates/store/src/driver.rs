@@ -2,20 +2,23 @@
 //!
 //! Exports the full `blockdev` interface (the canonical method list
 //! lives in the [crate docs](crate)): single-sector `read`/`write`, the
-//! vectorized `read_many`/`write_many`, `sectors`/`stats`, and the
+//! vectorized `read_many`/`write_many`, `sectors`, the stack's only
+//! `stats` (`[reads, writes]` sectors transferred), and the
 //! durability/transaction surface `flush`/`barrier`/`begin_txn`/
 //! `txn_write`/`commit`/`abort`.
 //!
-//! Single-sector operations charge the full sector transfer cost — the
-//! latency the shared cache exists to hide. The vectorized operations
-//! charge the amortised [`batch_transfer_cost`]: one request setup, then
-//! the streaming rate per additional sector — but charge it *per sector*
-//! (setup on the first, streaming on the rest), so an injected power
-//! failure ([`Machine::arm_crash_after`]) can land between any two
-//! sectors of a batch. A crash mid-batch leaves the batch's prefix fully
-//! written and the in-flight sector *torn* (half new, half old bytes) —
-//! exactly the failure surface the `store::journal` layer's checksummed
-//! records exist to survive.
+//! Every transfer is a batch: `read`/`write` are the one-sector case of
+//! `read_many`/`write_many` and run the same code, so a single sector
+//! pays the full sector transfer cost — the latency the shared cache
+//! exists to hide. A batch is validated whole before anything is
+//! charged, then charged the amortised [`batch_transfer_cost`]: one
+//! request setup, then the streaming rate per additional sector — but
+//! charged *per sector* (setup on the first, streaming on the rest), so
+//! an injected power failure ([`Machine::arm_crash_after`]) can land
+//! between any two sectors of a batch. A crash mid-batch leaves the
+//! batch's prefix fully written and the in-flight sector *torn* (half
+//! new, half old bytes) — exactly the failure surface the
+//! `store::journal` layer's checksummed records exist to survive.
 //!
 //! The driver's transaction verbs are **volatile**: `commit` applies the
 //! buffered writes as one batch, atomic against validation errors but
@@ -38,7 +41,10 @@ use paramecium_machine::{
 };
 use paramecium_obj::{ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
 
-use crate::vectored::{parse_pairs, parse_sectors, parse_txn, parse_txn_write, TXN_WRITE_PARAMS};
+use crate::vectored::{
+    parse_pairs, parse_sector, parse_sectors, parse_txn, parse_txn_write, parse_write,
+    TXN_WRITE_PARAMS,
+};
 
 /// Bytes of a sector that still reach the platter when a power failure
 /// interrupts its transfer: the torn-write model (half the sector).
@@ -64,63 +70,91 @@ fn check_power(m: &Machine) -> ObjResult<()> {
     m.check_power().map_err(dev_err)
 }
 
-/// Extra cycles the next sector transfer costs under an injected latency
-/// spike ([`Disk::inject_latency`]); 0 in normal operation.
-fn op_latency(m: &mut Machine) -> paramecium_machine::cost::Cycles {
-    m.device_mut::<Disk>("disk")
-        .map_or(0, |d| d.take_op_latency())
+/// Charges the transfer of a batch's `k`-th sector: request setup for
+/// the first, the streaming rate for the rest, plus any injected latency
+/// spike ([`Disk::inject_latency`]).
+fn charge_sector(m: &mut Machine, k: usize) {
+    let cost = if k == 0 {
+        SECTOR_TRANSFER_COST
+    } else {
+        SECTOR_STREAM_COST
+    };
+    let extra = m
+        .device_mut::<Disk>("disk")
+        .map_or(0, |d| d.take_op_latency());
+    m.charge(cost + extra);
 }
 
-/// Writes `batch` to the disk, charging the amortised batch cost one
-/// sector at a time (request setup for the first, streaming rate for the
-/// rest) and checking for an injected power failure between charges. On a
-/// crash the in-flight sector is torn ([`TORN_WRITE_PREFIX`] bytes land)
-/// and the error surfaces; earlier sectors of the batch are fully
-/// durable. The caller validates the batch up front, so the only failure
-/// mode here is power loss.
-fn charged_batch_write(m: &mut Machine, batch: &[(i64, Bytes)]) -> ObjResult<()> {
-    for (k, (sec, data)) in batch.iter().enumerate() {
-        let cost = if k == 0 {
-            SECTOR_TRANSFER_COST
-        } else {
-            SECTOR_STREAM_COST
-        };
-        let extra = op_latency(m);
-        m.charge(cost + extra);
-        let mut buf = [0u8; SECTOR_SIZE];
-        buf.copy_from_slice(data);
-        let crashed = m.crashed();
-        let disk = m
-            .device_mut::<Disk>("disk")
-            .ok_or_else(|| ObjError::failed("disk device missing"))?;
-        if crashed {
-            // Power died during this sector's transfer: only a prefix
-            // reaches the platter.
-            disk.write_sector_prefix(*sec as u64, &buf, TORN_WRITE_PREFIX)
-                .map_err(dev_err)?;
-            return Err(dev_err(paramecium_machine::MachineError::PowerFailure));
-        }
-        disk.write_sector(*sec as u64, &buf).map_err(dev_err)?;
-    }
-    Ok(())
-}
-
-/// Validates every sector of a write batch against the device bounds
-/// before anything is charged or written (no partial effects for invalid
+/// Validates every sector of a batch against the device bounds before
+/// anything is charged, read or written (no partial effects for invalid
 /// batches).
-fn validate_batch(m: &mut Machine, batch: &[(i64, Bytes)]) -> ObjResult<()> {
+fn validate_batch(m: &mut Machine, sectors: impl IntoIterator<Item = i64>) -> ObjResult<()> {
     let total = m
         .device_mut::<Disk>("disk")
         .ok_or_else(|| ObjError::failed("disk device missing"))?
         .sectors() as i64;
-    for (sec, _) in batch {
-        if *sec < 0 || *sec >= total {
+    for sec in sectors {
+        if sec < 0 || sec >= total {
             return Err(ObjError::failed(format!(
                 "sector {sec} out of range (device has {total})"
             )));
         }
     }
     Ok(())
+}
+
+impl DriverState {
+    /// Reads `sectors` as one request: validates the whole batch, then
+    /// charges it sector by sector ([`charge_sector`]), checking for an
+    /// injected power failure after each charge. `read` is the
+    /// one-sector case.
+    fn read_batch(&mut self, sectors: &[i64]) -> ObjResult<Vec<Value>> {
+        let mut m = self.machine.lock();
+        check_power(&m)?;
+        validate_batch(&mut m, sectors.iter().copied())?;
+        let mut out = Vec::with_capacity(sectors.len());
+        for (k, &sec) in sectors.iter().enumerate() {
+            charge_sector(&mut m, k);
+            check_power(&m)?;
+            let data = m
+                .device_mut::<Disk>("disk")
+                .ok_or_else(|| ObjError::failed("disk device missing"))?
+                .read_sector(sec as u64)
+                .map_err(dev_err)?;
+            out.push(Value::Bytes(Bytes::copy_from_slice(&data)));
+        }
+        self.reads += sectors.len() as u64;
+        Ok(out)
+    }
+
+    /// Writes `batch` as one request: validates the whole batch, then
+    /// charges and writes it sector by sector. An injected power failure
+    /// landing on a sector's charge tears that sector
+    /// ([`TORN_WRITE_PREFIX`] bytes land) and surfaces the error; earlier
+    /// sectors of the batch are fully durable. `write` and `commit` are
+    /// cases of this.
+    fn write_batch(&mut self, batch: &[(i64, Bytes)]) -> ObjResult<()> {
+        let mut m = self.machine.lock();
+        check_power(&m)?;
+        validate_batch(&mut m, batch.iter().map(|(sec, _)| *sec))?;
+        for (k, (sec, data)) in batch.iter().enumerate() {
+            charge_sector(&mut m, k);
+            let mut buf = [0u8; SECTOR_SIZE];
+            buf.copy_from_slice(data);
+            let crashed = m.crashed();
+            let disk = m
+                .device_mut::<Disk>("disk")
+                .ok_or_else(|| ObjError::failed("disk device missing"))?;
+            if crashed {
+                disk.write_sector_prefix(*sec as u64, &buf, TORN_WRITE_PREFIX)
+                    .map_err(dev_err)?;
+                return Err(dev_err(paramecium_machine::MachineError::PowerFailure));
+            }
+            disk.write_sector(*sec as u64, &buf).map_err(dev_err)?;
+        }
+        self.writes += batch.len() as u64;
+        Ok(())
+    }
 }
 
 /// Builds the disk driver for `domain`, claiming the disk's register
@@ -151,23 +185,10 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
         })
         .interface("blockdev", |i| {
             i.method("read", &[TypeTag::Int], TypeTag::Bytes, |this, args| {
-                let sector = args[0].as_int()?;
-                if sector < 0 {
-                    return Err(ObjError::failed("negative sector"));
-                }
+                let sector = parse_sector(&args[0])?;
                 this.with_state(|s: &mut DriverState| {
-                    let mut m = s.machine.lock();
-                    check_power(&m)?;
-                    let extra = op_latency(&mut m);
-                    m.charge(SECTOR_TRANSFER_COST + extra);
-                    check_power(&m)?;
-                    let data = m
-                        .device_mut::<Disk>("disk")
-                        .ok_or_else(|| ObjError::failed("disk device missing"))?
-                        .read_sector(sector as u64)
-                        .map_err(dev_err)?;
-                    s.reads += 1;
-                    Ok(Value::Bytes(Bytes::copy_from_slice(&data)))
+                    let mut out = s.read_batch(&[sector])?;
+                    Ok(out.swap_remove(0))
                 })
             })
             .method(
@@ -175,24 +196,9 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                 &[TypeTag::Int, TypeTag::Bytes],
                 TypeTag::Unit,
                 |this, args| {
-                    let sector = args[0].as_int()?;
-                    let data = args[1].as_bytes()?;
-                    if sector < 0 {
-                        return Err(ObjError::failed("negative sector"));
-                    }
-                    if data.len() != SECTOR_SIZE {
-                        return Err(ObjError::failed(format!(
-                            "sector writes must be exactly {SECTOR_SIZE} bytes, got {}",
-                            data.len()
-                        )));
-                    }
-                    let batch = [(sector, data.clone())];
+                    let write = parse_write(&args[0], &args[1])?;
                     this.with_state(|s: &mut DriverState| {
-                        let mut m = s.machine.lock();
-                        check_power(&m)?;
-                        validate_batch(&mut m, &batch)?;
-                        charged_batch_write(&mut m, &batch)?;
-                        s.writes += 1;
+                        s.write_batch(std::slice::from_ref(&write))?;
                         Ok(Value::Unit)
                     })
                 },
@@ -203,41 +209,7 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                 TypeTag::List,
                 |this, args| {
                     let sectors = parse_sectors(&args[0])?;
-                    this.with_state(|s: &mut DriverState| {
-                        let mut m = s.machine.lock();
-                        check_power(&m)?;
-                        // Validate the whole batch before charging.
-                        {
-                            let d = m
-                                .device_mut::<Disk>("disk")
-                                .ok_or_else(|| ObjError::failed("disk device missing"))?;
-                            let total = d.sectors() as i64;
-                            if let Some(bad) = sectors.iter().find(|&&sec| sec >= total) {
-                                return Err(ObjError::failed(format!(
-                                    "sector {bad} out of range (device has {total})"
-                                )));
-                            }
-                        }
-                        let mut out = Vec::with_capacity(sectors.len());
-                        for (k, &sec) in sectors.iter().enumerate() {
-                            let cost = if k == 0 {
-                                SECTOR_TRANSFER_COST
-                            } else {
-                                SECTOR_STREAM_COST
-                            };
-                            let extra = op_latency(&mut m);
-                            m.charge(cost + extra);
-                            check_power(&m)?;
-                            let data = m
-                                .device_mut::<Disk>("disk")
-                                .ok_or_else(|| ObjError::failed("disk device missing"))?
-                                .read_sector(sec as u64)
-                                .map_err(dev_err)?;
-                            out.push(Value::Bytes(Bytes::copy_from_slice(&data)));
-                        }
-                        s.reads += sectors.len() as u64;
-                        Ok(Value::List(out))
-                    })
+                    this.with_state(|s: &mut DriverState| Ok(Value::List(s.read_batch(&sectors)?)))
                 },
             )
             .method(
@@ -247,11 +219,7 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                 |this, args| {
                     let pairs = parse_pairs(&args[0])?;
                     this.with_state(|s: &mut DriverState| {
-                        let mut m = s.machine.lock();
-                        check_power(&m)?;
-                        validate_batch(&mut m, &pairs)?;
-                        charged_batch_write(&mut m, &pairs)?;
-                        s.writes += pairs.len() as u64;
+                        s.write_batch(&pairs)?;
                         Ok(Value::Int(pairs.len() as i64))
                     })
                 },
@@ -309,7 +277,7 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                     this.with_state(|s: &mut DriverState| {
                         let mut m = s.machine.lock();
                         check_power(&m)?;
-                        validate_batch(&mut m, std::slice::from_ref(&(sector, data.clone())))?;
+                        validate_batch(&mut m, [sector])?;
                         drop(m);
                         s.open_txns
                             .get_mut(&txn)
@@ -326,14 +294,9 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
                         .open_txns
                         .remove(&txn)
                         .ok_or_else(|| ObjError::failed(format!("no open transaction {txn}")))?;
-                    if writes.is_empty() {
-                        return Ok(Value::Unit);
+                    if !writes.is_empty() {
+                        s.write_batch(&writes)?;
                     }
-                    let mut m = s.machine.lock();
-                    check_power(&m)?;
-                    validate_batch(&mut m, &writes)?;
-                    charged_batch_write(&mut m, &writes)?;
-                    s.writes += writes.len() as u64;
                     Ok(Value::Unit)
                 })
             })
@@ -348,12 +311,6 @@ pub(crate) fn build_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> Core
             })
         })
         .build())
-}
-
-/// Builds the disk driver for `domain`.
-#[deprecated(note = "use store::StackBuilder::disk(mem, domain).build()")]
-pub fn make_disk_driver(mem: &Arc<MemService>, domain: DomainId) -> CoreResult<ObjRef> {
-    build_disk_driver(mem, domain)
 }
 
 #[cfg(test)]
@@ -403,16 +360,18 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_sector_fails() {
-        let (_, driver) = setup();
+    fn out_of_range_sector_fails_without_a_charge() {
+        let (mem, driver) = setup();
         let sectors = driver
             .invoke("blockdev", "sectors", &[])
             .unwrap()
             .as_int()
             .unwrap();
+        let t0 = mem.machine().lock().now();
         assert!(driver
             .invoke("blockdev", "read", &[Value::Int(sectors)])
             .is_err());
+        assert_eq!(mem.machine().lock().now(), t0, "validated before charging");
     }
 
     #[test]

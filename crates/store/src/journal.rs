@@ -66,7 +66,7 @@ use paramecium_machine::dev::disk::SECTOR_SIZE;
 use paramecium_obj::{ObjError, ObjRef, ObjResult, ObjectBuilder, TypeTag, Value};
 
 use crate::vectored::{
-    pairs_arg, parse_pairs, parse_sectors, parse_txn, parse_txn_write, sectors_arg,
+    pairs_arg, parse_pairs, parse_sectors, parse_txn, parse_txn_write, parse_write, sectors_arg,
     TXN_WRITE_PARAMS,
 };
 
@@ -236,6 +236,66 @@ impl JournalShared {
         self.backing
             .invoke("blockdev", "write_many", &[pairs_arg(batch)])?;
         Ok(())
+    }
+
+    /// Reads `sectors` in request order: overlay hits are served here,
+    /// the rest go below as one `read_many`. `read` is the one-sector
+    /// case.
+    fn read_batch(&self, sectors: &[i64]) -> ObjResult<Vec<Value>> {
+        for &sec in sectors {
+            check_data_sector(&self.geo, sec)?;
+        }
+        let overlay_hits: Vec<Option<Bytes>> = {
+            let inner = self.inner.lock();
+            sectors
+                .iter()
+                .map(|sec| inner.overlay.get(sec).cloned())
+                .collect()
+        };
+        let missing: Vec<i64> = sectors
+            .iter()
+            .zip(&overlay_hits)
+            .filter_map(|(&sec, hit)| hit.is_none().then_some(sec))
+            .collect();
+        let mut fetched = if missing.is_empty() {
+            Vec::new()
+        } else {
+            self.backing
+                .invoke("blockdev", "read_many", &[sectors_arg(missing)])?
+                .as_list()?
+                .to_vec()
+        };
+        let mut next = fetched.drain(..);
+        overlay_hits
+            .into_iter()
+            .map(|hit| match hit {
+                Some(data) => Ok(Value::Bytes(data)),
+                None => next
+                    .next()
+                    .ok_or_else(|| ObjError::failed("backing read_many returned a short batch")),
+            })
+            .collect()
+    }
+
+    /// Commits `writes` as one atomic transaction: after a crash, either
+    /// every write is visible or none is. `write` is the one-sector case.
+    /// Returns the number of writes.
+    fn write_batch(&self, writes: Vec<(i64, Bytes)>) -> ObjResult<i64> {
+        for (sec, _) in &writes {
+            check_data_sector(&self.geo, *sec)?;
+        }
+        if writes.is_empty() {
+            return Ok(0);
+        }
+        let n = writes.len() as i64;
+        let txn = {
+            let mut inner = self.inner.lock();
+            let id = inner.next_txn;
+            inner.next_txn += 1;
+            id as u64
+        };
+        self.commit_writes(txn, writes)?;
+        Ok(n)
     }
 
     /// Log slots a transaction of `n` writes occupies: one descriptor
@@ -650,7 +710,6 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
             let s_write_many = s.clone();
             let s_sectors = s.clone();
             let s_limit = s.clone();
-            let s_stats = s.clone();
             let s_flush = s.clone();
             let s_barrier = s.clone();
             let s_begin = s.clone();
@@ -658,34 +717,18 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
             let s_commit = s.clone();
             let s_abort = s.clone();
             i.method("read", &[TypeTag::Int], TypeTag::Bytes, move |_, args| {
-                let sector = args[0].as_int()?;
-                check_data_sector(&s_read.geo, sector)?;
-                if let Some(data) = s_read.inner.lock().overlay.get(&sector) {
-                    return Ok(Value::Bytes(data.clone()));
-                }
-                s_read
-                    .backing
-                    .invoke("blockdev", "read", &[Value::Int(sector)])
+                let mut out = s_read.read_batch(&[args[0].as_int()?])?;
+                Ok(out.swap_remove(0))
             })
             .method(
                 "write",
                 &[TypeTag::Int, TypeTag::Bytes],
                 TypeTag::Unit,
                 move |_, args| {
-                    let sector = args[0].as_int()?;
-                    let data = args[1].as_bytes()?;
-                    check_data_sector(&s_write.geo, sector)?;
-                    if data.len() != SECTOR_SIZE {
-                        return Err(ObjError::failed(format!(
-                            "sector writes must be exactly {SECTOR_SIZE} bytes, got {}",
-                            data.len()
-                        )));
-                    }
                     // A bare write is an implicit single-write
                     // transaction: journalled, group-committed, durable
                     // by return.
-                    let txn = alloc_txn(&s_write);
-                    s_write.commit_writes(txn, vec![(sector, data.clone())])?;
+                    s_write.write_batch(vec![parse_write(&args[0], &args[1])?])?;
                     Ok(Value::Unit)
                 },
             )
@@ -694,47 +737,9 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
                 &[TypeTag::List],
                 TypeTag::List,
                 move |_, args| {
-                    let sectors = parse_sectors(&args[0])?;
-                    for &sec in &sectors {
-                        check_data_sector(&s_read_many.geo, sec)?;
-                    }
-                    // Serve overlay hits locally, batch the rest below.
-                    let overlay_hits: Vec<Option<Bytes>> = {
-                        let inner = s_read_many.inner.lock();
-                        sectors
-                            .iter()
-                            .map(|sec| inner.overlay.get(sec).cloned())
-                            .collect()
-                    };
-                    let missing: Vec<i64> = sectors
-                        .iter()
-                        .zip(&overlay_hits)
-                        .filter_map(|(&sec, hit)| hit.is_none().then_some(sec))
-                        .collect();
-                    let mut fetched = if missing.is_empty() {
-                        Vec::new()
-                    } else {
-                        s_read_many
-                            .backing
-                            .invoke(
-                                "blockdev",
-                                "read_many",
-                                &[sectors_arg(missing.iter().copied())],
-                            )?
-                            .as_list()?
-                            .to_vec()
-                    };
-                    let mut next = fetched.drain(..);
-                    let out: Vec<Value> = overlay_hits
-                        .into_iter()
-                        .map(|hit| match hit {
-                            Some(data) => Ok(Value::Bytes(data)),
-                            None => next.next().ok_or_else(|| {
-                                ObjError::failed("backing read_many returned a short batch")
-                            }),
-                        })
-                        .collect::<ObjResult<_>>()?;
-                    Ok(Value::List(out))
+                    Ok(Value::List(
+                        s_read_many.read_batch(&parse_sectors(&args[0])?)?,
+                    ))
                 },
             )
             .method(
@@ -742,19 +747,9 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
                 &[TypeTag::List],
                 TypeTag::Int,
                 move |_, args| {
-                    let pairs = parse_pairs(&args[0])?;
-                    for (sec, _) in &pairs {
-                        check_data_sector(&s_write_many.geo, *sec)?;
-                    }
-                    if pairs.is_empty() {
-                        return Ok(Value::Int(0));
-                    }
-                    // One batch = one atomic transaction: after a crash,
-                    // either every pair is visible or none is.
-                    let n = pairs.len() as i64;
-                    let txn = alloc_txn(&s_write_many);
-                    s_write_many.commit_writes(txn, pairs)?;
-                    Ok(Value::Int(n))
+                    Ok(Value::Int(
+                        s_write_many.write_batch(parse_pairs(&args[0])?)?,
+                    ))
                 },
             )
             .method("sectors", &[], TypeTag::Int, move |_, _| {
@@ -766,23 +761,16 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
                 // their non-atomic writeback batches to this.
                 Ok(Value::Int(s_limit.txn_capacity()))
             })
-            .method("stats", &[], TypeTag::List, move |_, _| {
-                s_stats.backing.invoke("blockdev", "stats", &[])
-            })
             .method("flush", &[], TypeTag::Int, move |_, _| {
                 // Checkpoint: home every committed payload, truncate the
                 // log. Returns the number of sectors homed.
                 s_flush.acquire_flush_token();
                 let result = s_flush.checkpoint_locked_out();
                 s_flush.release_flush_token();
-                // Forward so lower layers (an inner journal, a write
-                // buffer) drain too.
-                let below = s_flush.backing.invoke("blockdev", "flush", &[]);
                 let homed = result?;
-                let below = match below {
-                    Ok(v) => v.as_int().unwrap_or(0),
-                    Err(_) => 0, // A bare driver may not implement flush.
-                };
+                // Forward so lower layers (an inner journal, a write
+                // buffer) drain too, and their failures surface.
+                let below = s_flush.backing.invoke("blockdev", "flush", &[])?.as_int()?;
                 Ok(Value::Int(homed + below))
             })
             .method("barrier", &[], TypeTag::Unit, move |_, _| {
@@ -873,15 +861,6 @@ fn build_journal_object(s: Arc<JournalShared>) -> ObjRef {
             })
         })
         .build()
-}
-
-/// Allocates an internal transaction id for an implicit (bare-write)
-/// transaction.
-fn alloc_txn(s: &JournalShared) -> u64 {
-    let mut inner = s.inner.lock();
-    let id = inner.next_txn;
-    inner.next_txn += 1;
-    id as u64
 }
 
 /// Rejects sectors outside the client-visible data area (negative or
@@ -1227,5 +1206,26 @@ mod tests {
         let v = driver.invoke("blockdev", "read", &[Value::Int(0)]).unwrap();
         assert_eq!(v.as_bytes().unwrap()[0], 0);
         assert_eq!(jstats(&j)[6], 0);
+    }
+
+    #[test]
+    fn flush_surfaces_a_failure_below_with_an_empty_overlay() {
+        let mem = Arc::new(MemService::new(Arc::new(Mutex::new(Machine::new()))));
+        let stack = StackBuilder::disk(&mem, KERNEL_DOMAIN)
+            .journal(JournalConfig::default())
+            .cache(16)
+            .build()
+            .unwrap();
+        mem.machine().lock().arm_crash_after(1);
+        let _ = stack.driver.invoke("blockdev", "read", &[Value::Int(0)]);
+        assert!(mem.machine().lock().crashed());
+        // Nothing is left to checkpoint, so only the layer below can
+        // report the lost power — and every layer above must pass it on.
+        let journal = stack.journal.unwrap();
+        let cache = stack.cache.unwrap();
+        for layer in [&stack.driver, &journal, &cache] {
+            let err = layer.invoke("blockdev", "flush", &[]).unwrap_err();
+            assert!(err.to_string().contains("power failure"), "{err}");
+        }
     }
 }

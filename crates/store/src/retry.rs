@@ -179,9 +179,6 @@ pub fn make_retry(machine: Arc<Mutex<Machine>>, lower: ObjRef, cfg: RetryConfig)
             .method("sectors", &[], TypeTag::Int, |this, args| {
                 this.with_state(|s: &mut RetryState| s.lower.invoke("blockdev", "sectors", args))
             })
-            .method("stats", &[], TypeTag::List, |this, args| {
-                this.with_state(|s: &mut RetryState| s.lower.invoke("blockdev", "stats", args))
-            })
             .method("begin_txn", &[], TypeTag::Int, |this, args| {
                 this.with_state(|s: &mut RetryState| s.lower.invoke("blockdev", "begin_txn", args))
             })

@@ -1,18 +1,15 @@
 //! [`StackBuilder`] — the one way to assemble a store stack.
 //!
-//! The store grew up as three free functions (`make_disk_driver`,
-//! `make_block_cache`, `make_sharded_block_cache`) that callers wired
-//! together by hand. That shape cannot express a third layer cleanly —
-//! every call site would have to learn the journal's mount story — so
-//! the constructors are now a builder over the fixed layering
+//! Hand-wiring the layers would make every call site learn the
+//! journal's mount story, so the store is assembled by a builder over
+//! the fixed layering
 //!
 //! ```text
 //! driver  →  retry (optional)  →  journal (optional)  →  cache (optional)
 //! ```
 //!
 //! where every layer exports `blockdev` and each optional layer is one
-//! builder call. The old free functions survive as deprecated one-line
-//! shims.
+//! builder call.
 //!
 //! ```no_run
 //! # use std::sync::Arc;
@@ -41,6 +38,7 @@ use crate::journal::{mount_journal, JournalConfig};
 use crate::retry::{make_retry, RetryConfig};
 
 /// What the stack stands on.
+#[derive(Clone)]
 enum Base {
     /// Build the disk driver for this domain (claiming the device).
     Disk {
@@ -54,6 +52,7 @@ enum Base {
 
 /// Layered constructor for the store stack. See the
 /// [module docs](self) for the shape and an example.
+#[derive(Clone)]
 pub struct StackBuilder {
     base: Base,
     retry: Option<RetryConfig>,
@@ -219,25 +218,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_build_working_stacks() {
-        let mem = mem();
-        let driver = crate::make_disk_driver(&mem, KERNEL_DOMAIN).unwrap();
-        let cache = crate::make_block_cache(driver.clone(), 4);
-        let data = Value::Bytes(Bytes::from(vec![0x77; SECTOR_SIZE]));
-        cache
-            .invoke("blockdev", "write", &[Value::Int(1), data])
-            .unwrap();
-        let v = cache.invoke("blockdev", "read", &[Value::Int(1)]).unwrap();
-        assert_eq!(v.as_bytes().unwrap()[0], 0x77);
-        let sharded = crate::make_sharded_block_cache(driver, 8, 2);
-        assert_eq!(
-            sharded.invoke("cache", "shards", &[]).unwrap(),
-            Value::Int(2)
-        );
-    }
-
-    #[test]
     fn layers_are_optional() {
         let mem = mem();
         let bare = StackBuilder::disk(&mem, KERNEL_DOMAIN).build().unwrap();
@@ -267,5 +247,64 @@ mod tests {
             .as_int()
             .unwrap();
         assert_eq!(visible, total - JournalConfig::default().log_sectors - 2);
+    }
+
+    /// On a bare driver, retry over a driver and a journal over retry
+    /// over a driver, `read(s)` is `read_many([s])` and `write(s, d)` is
+    /// `write_many([(s, d)])`: the same bytes, the same machine-clock
+    /// advance and the same driver `[reads, writes]` counts.
+    #[test]
+    fn single_sector_verbs_match_their_one_element_batches() {
+        use crate::vectored::{pairs_arg, sectors_arg};
+        type Layers = fn(StackBuilder) -> StackBuilder;
+        let stacks: [(&str, Layers); 3] = [
+            ("driver", |b| b),
+            ("retry", |b| b.retry(RetryConfig::default())),
+            ("journal", |b| {
+                b.retry(RetryConfig::default())
+                    .journal(JournalConfig::default())
+            }),
+        ];
+        let data = Bytes::from(vec![0x5E; SECTOR_SIZE]);
+        for (name, layers) in stacks {
+            // (bytes or unit returned, clock advance, driver counts) per
+            // step: write sector 9, read it back, read untouched sector 4.
+            let run = |batched: bool| {
+                let mem = mem();
+                let stack = layers(StackBuilder::disk(&mem, KERNEL_DOMAIN))
+                    .build()
+                    .unwrap();
+                let step = |method: &str, args: &[Value]| {
+                    let t0 = mem.machine().lock().now();
+                    let out = stack.top.invoke("blockdev", method, args).unwrap();
+                    let cycles = mem.machine().lock().now() - t0;
+                    let counts = stack.driver.invoke("blockdev", "stats", &[]).unwrap();
+                    (out, cycles, counts)
+                };
+                let mut trace = Vec::new();
+                if batched {
+                    let (n, cycles, counts) = step("write_many", &[pairs_arg([(9, data.clone())])]);
+                    assert_eq!(n, Value::Int(1));
+                    trace.push((Value::Unit, cycles, counts));
+                    for sec in [9, 4] {
+                        let (list, cycles, counts) = step("read_many", &[sectors_arg([sec])]);
+                        trace.push((list.as_list().unwrap()[0].clone(), cycles, counts));
+                    }
+                } else {
+                    trace.push(step("write", &[Value::Int(9), Value::Bytes(data.clone())]));
+                    for sec in [9, 4] {
+                        trace.push(step("read", &[Value::Int(sec)]));
+                    }
+                }
+                trace
+            };
+            let single = run(false);
+            assert_eq!(single, run(true), "{name}");
+            assert_eq!(single[1].0, Value::Bytes(data.clone()), "{name}");
+            assert!(
+                single[2].1 > 0,
+                "{name}: the untouched sector comes from disk"
+            );
+        }
     }
 }

@@ -21,16 +21,30 @@ pub fn sectors_arg(sectors: impl IntoIterator<Item = i64>) -> Value {
 
 /// Parses the `read_many` argument, rejecting negative sectors.
 pub fn parse_sectors(v: &Value) -> ObjResult<Vec<i64>> {
-    v.as_list()?
-        .iter()
-        .map(|s| {
-            let sec = s.as_int()?;
-            if sec < 0 {
-                return Err(ObjError::failed("negative sector"));
-            }
-            Ok(sec)
-        })
-        .collect()
+    v.as_list()?.iter().map(parse_sector).collect()
+}
+
+/// Parses one sector number, rejecting negatives.
+pub(crate) fn parse_sector(v: &Value) -> ObjResult<i64> {
+    let sec = v.as_int()?;
+    if sec < 0 {
+        return Err(ObjError::failed("negative sector"));
+    }
+    Ok(sec)
+}
+
+/// Parses one `(sector, data)` write, rejecting negative sectors and
+/// payloads that are not exactly one sector.
+pub(crate) fn parse_write(sector: &Value, data: &Value) -> ObjResult<(i64, Bytes)> {
+    let sec = parse_sector(sector)?;
+    let data = data.as_bytes()?;
+    if data.len() != SECTOR_SIZE {
+        return Err(ObjError::failed(format!(
+            "sector writes must be exactly {SECTOR_SIZE} bytes, got {}",
+            data.len()
+        )));
+    }
+    Ok((sec, data.clone()))
 }
 
 /// Builds the `write_many` argument from `(sector, data)` pairs.
@@ -53,18 +67,7 @@ pub fn parse_pairs(v: &Value) -> ObjResult<Vec<(i64, Bytes)>> {
             if p.len() != 2 {
                 return Err(ObjError::failed("write_many expects [sector, data] pairs"));
             }
-            let sec = p[0].as_int()?;
-            if sec < 0 {
-                return Err(ObjError::failed("negative sector"));
-            }
-            let data = p[1].as_bytes()?;
-            if data.len() != SECTOR_SIZE {
-                return Err(ObjError::failed(format!(
-                    "sector writes must be exactly {SECTOR_SIZE} bytes, got {}",
-                    data.len()
-                )));
-            }
-            Ok((sec, data.clone()))
+            parse_write(&p[0], &p[1])
         })
         .collect()
 }
@@ -86,18 +89,8 @@ pub fn parse_txn_write(args: &[Value]) -> ObjResult<(i64, i64, Bytes)> {
         return Err(ObjError::failed("txn_write expects (txn, sector, data)"));
     }
     let txn = parse_txn(&args[0])?;
-    let sector = args[1].as_int()?;
-    if sector < 0 {
-        return Err(ObjError::failed("negative sector"));
-    }
-    let data = args[2].as_bytes()?;
-    if data.len() != SECTOR_SIZE {
-        return Err(ObjError::failed(format!(
-            "sector writes must be exactly {SECTOR_SIZE} bytes, got {}",
-            data.len()
-        )));
-    }
-    Ok((txn, sector, data.clone()))
+    let (sector, data) = parse_write(&args[1], &args[2])?;
+    Ok((txn, sector, data))
 }
 
 /// Builds the single-argument vector for `commit(txn)` / `abort(txn)`.

@@ -1,10 +1,11 @@
-//! Regenerates every experiment table in EXPERIMENTS.md.
+//! Prints the experiment tables E1–E9 to stdout as Markdown.
 //!
 //! The paper (a HotOS position paper) has no tables or figures, so the
-//! experiment set is derived from its quantitative *claims* — see
-//! DESIGN.md section 3 for the claim-to-experiment mapping. Simulated
-//! costs are deterministic (same numbers every run); wall-clock rows
-//! (marked `ns`/`µs`) vary with the host and are indicative only.
+//! experiment set is derived from its quantitative *claims*: each
+//! table's heading names the paper section whose claim it measures.
+//! Simulated costs are deterministic (same numbers every run);
+//! wall-clock rows (marked `ns`/`µs`) vary with the host and are
+//! indicative only.
 //!
 //! ```text
 //! cargo run --release --example experiments

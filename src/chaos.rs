@@ -59,12 +59,12 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::core::{domain::DomainId, memsvc::MemService, CoreResult};
+use crate::core::{memsvc::MemService, CoreResult};
 use crate::machine::dev::disk::Disk;
 use crate::machine::dev::nic::Nic;
 use crate::machine::Machine;
 use crate::obj::{ObjError, ObjRef, Value};
-use crate::store::{JournalConfig, RetryConfig, StackBuilder, StoreStack};
+use crate::store::{StackBuilder, StoreStack};
 
 /// One typed fault. Link and router targets are the handles returned
 /// by the controller's `register_*` calls; devices are named.
@@ -458,36 +458,20 @@ fn set_knobs(end: &ObjRef, knobs: Vec<Value>) -> Result<(), ObjError> {
 /// prefix.
 pub struct Supervisor {
     mem: Arc<MemService>,
-    domain: DomainId,
-    retry: RetryConfig,
-    journal: JournalConfig,
-    cache: Option<(usize, usize)>,
+    stack: StackBuilder,
     reboots: u64,
 }
 
 impl Supervisor {
-    /// A supervisor that rebuilds `driver → retry → journal` stacks for
-    /// `domain` on the machine behind `mem`.
-    pub fn new(
-        mem: &Arc<MemService>,
-        domain: DomainId,
-        retry: RetryConfig,
-        journal: JournalConfig,
-    ) -> Supervisor {
+    /// A supervisor that rebuilds `stack` after each reboot of the
+    /// machine behind `mem`. `stack` must be a disk-based builder on that
+    /// same machine.
+    pub fn new(mem: &Arc<MemService>, stack: StackBuilder) -> Supervisor {
         Supervisor {
             mem: mem.clone(),
-            domain,
-            retry,
-            journal,
-            cache: None,
+            stack,
             reboots: 0,
         }
-    }
-
-    /// Also rebuild a sharded cache on top after recovery.
-    pub fn with_cache(mut self, capacity: usize, shards: usize) -> Supervisor {
-        self.cache = Some((capacity, shards));
-        self
     }
 
     /// If the machine is down, bring it back: clear disk fault windows,
@@ -505,13 +489,7 @@ impl Supervisor {
             }
             m.reboot();
         }
-        let mut builder = StackBuilder::disk(&self.mem, self.domain)
-            .retry(self.retry)
-            .journal(self.journal);
-        if let Some((capacity, shards)) = self.cache {
-            builder = builder.sharded_cache(capacity, shards);
-        }
-        let stack = builder.build()?;
+        let stack = self.stack.clone().build()?;
         self.reboots += 1;
         Ok(Some(stack))
     }
@@ -527,6 +505,7 @@ mod tests {
     use super::*;
     use crate::core::domain::KERNEL_DOMAIN;
     use crate::netstack::simlink::{make_simlink, LinkConfig};
+    use crate::store::{JournalConfig, RetryConfig};
     use bytes::Bytes;
 
     fn machine() -> Arc<Mutex<Machine>> {
@@ -652,11 +631,10 @@ mod tests {
     fn supervisor_reboots_and_remounts_after_power_loss() {
         let mem = Arc::new(MemService::new(machine()));
         let machine = mem.machine().clone();
-        let stack = StackBuilder::disk(&mem, KERNEL_DOMAIN)
+        let builder = StackBuilder::disk(&mem, KERNEL_DOMAIN)
             .retry(RetryConfig::default())
-            .journal(JournalConfig::default())
-            .build()
-            .unwrap();
+            .journal(JournalConfig::default());
+        let stack = builder.clone().build().unwrap();
         let data = Value::Bytes(Bytes::from(vec![0xEE; 512]));
         stack
             .top
@@ -668,12 +646,7 @@ mod tests {
         let _ = stack.driver.invoke("blockdev", "read", &[Value::Int(0)]);
         assert!(machine.lock().crashed());
         assert!(stack.top.invoke("blockdev", "flush", &[]).is_err());
-        let mut sup = Supervisor::new(
-            &mem,
-            KERNEL_DOMAIN,
-            RetryConfig::default(),
-            JournalConfig::default(),
-        );
+        let mut sup = Supervisor::new(&mem, builder);
         let recovered = sup.ensure_up().unwrap().expect("machine was down");
         assert_eq!(sup.reboots(), 1);
         // The journaled write survived the crash and the remount.

@@ -233,14 +233,11 @@ fn run_drill(seed: u64) -> Report {
 
     // Store half: driver → retry → journal, plus the supervisor that
     // rebuilds it after the power cut.
-    let retry = RetryConfig::default();
-    let journal = JournalConfig::default();
-    let mut stack: StoreStack = StackBuilder::disk(&mem, KERNEL_DOMAIN)
-        .retry(retry)
-        .journal(journal)
-        .build()
-        .unwrap();
-    let mut sup = Supervisor::new(&mem, KERNEL_DOMAIN, retry, journal);
+    let builder = StackBuilder::disk(&mem, KERNEL_DOMAIN)
+        .retry(RetryConfig::default())
+        .journal(JournalConfig::default());
+    let mut stack: StoreStack = builder.clone().build().unwrap();
+    let mut sup = Supervisor::new(&mem, builder);
 
     // Chaos targets.
     let mut ctl = ChaosController::new(machine.clone());

@@ -37,7 +37,7 @@ fn cache_is_installed_by_interposition_and_shared_across_domains() {
 
     // The administrator interposes the shared cache over /dev/disk.
     let raw = n.bind(KERNEL_DOMAIN, "/dev/disk").unwrap();
-    let cache = StackBuilder::on(raw).cache(64).build().unwrap().top;
+    let cache = StackBuilder::on(raw.clone()).cache(64).build().unwrap().top;
     n.interpose(KERNEL_DOMAIN, "/dev/disk", cache).unwrap();
 
     // Alice writes through her proxy; Bob reads the same sector through
@@ -58,17 +58,16 @@ fn cache_is_installed_by_interposition_and_shared_across_domains() {
     let cstats = shared.invoke("cache", "stats", &[]).unwrap();
     let s = cstats.as_list().unwrap().to_vec();
     assert_eq!(s[0], Value::Int(1), "Bob's read hit Alice's line");
-    let dstats = shared.invoke("blockdev", "stats", &[]).unwrap();
+    let dstats = raw.invoke("blockdev", "stats", &[]).unwrap();
     assert_eq!(
         dstats.as_list().unwrap()[1],
         Value::Int(0),
         "no disk write yet"
     );
 
-    // Flush persists; the raw driver (still reachable via the cache's
-    // backing) confirms.
+    // Flush persists; the raw driver handle confirms.
     shared.invoke("cache", "flush", &[]).unwrap();
-    let dstats = shared.invoke("blockdev", "stats", &[]).unwrap();
+    let dstats = raw.invoke("blockdev", "stats", &[]).unwrap();
     assert_eq!(dstats.as_list().unwrap()[1], Value::Int(1));
 }
 
