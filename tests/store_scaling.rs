@@ -11,6 +11,10 @@
 //!   costs fewer simulated cycles than per-sector writes.
 //! - Stress: several non-cooperating domains hammer one shared cache
 //!   installed by interposition.
+//! - Golden fingerprint: a fixed single-client sequence over 1 and 4
+//!   shards reproduces pinned clock, cache and driver counters and disk
+//!   and read digests, so a rewrite of the cache's internals cannot
+//!   silently change what it does.
 
 use proptest::prelude::*;
 use std::sync::{
@@ -483,5 +487,180 @@ fn multi_client_stress_through_interposition() {
     for sec in 0..16i64 {
         let v = disk.invoke("blockdev", "read", &[Value::Int(sec)]).unwrap();
         assert_eq!(v.as_bytes().unwrap()[0], 7u8.wrapping_mul(sec as u8));
+    }
+}
+
+/// Everything one run of [`golden_workload`] leaves behind that a change
+/// to the cache's internals must not move.
+#[derive(Debug, PartialEq, Eq)]
+struct CacheFingerprint {
+    clock: u64,
+    stats: Vec<i64>,
+    shard_stats: Vec<Vec<i64>>,
+    driver_reads_writes: Vec<i64>,
+    driver_invocations: u64,
+    reads_digest: u64,
+    disk_digest: u64,
+}
+
+fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+    if h == 0 {
+        h = 0xcbf2_9ce4_8422_2325;
+    }
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn ints(v: &Value) -> Vec<i64> {
+    v.as_list()
+        .unwrap()
+        .iter()
+        .map(|x| x.as_int().unwrap())
+        .collect()
+}
+
+/// A fixed single-client sequence over a `shards`-way cache of 8 lines:
+/// single-sector write and read hits and misses (dirty evictions that
+/// coalesce cold dirty lines into their writeback), `read_many` fills
+/// that fit their shard, `write_many` batches whose evictions are all
+/// clean (one with a duplicate sector), `flush` and `barrier`.
+fn golden_workload(shards: usize) -> CacheFingerprint {
+    let (mem, driver) = fresh_driver();
+    let cache = StackBuilder::on(driver.clone())
+        .sharded_cache(8, shards)
+        .build()
+        .unwrap()
+        .top;
+    let inv0 = driver.invocation_count();
+    let mut reads = 0u64;
+    let mut read = |sec: i64| {
+        let v = cache
+            .invoke("blockdev", "read", &[Value::Int(sec)])
+            .unwrap();
+        reads = fnv(reads, v.as_bytes().unwrap());
+    };
+    let write = |sec: i64, byte: u8| {
+        cache
+            .invoke("blockdev", "write", &[Value::Int(sec), sector_of(byte)])
+            .unwrap();
+    };
+    let write_many = |pairs: &[(i64, u8)]| {
+        let arg = pairs_arg(
+            pairs
+                .iter()
+                .map(|&(sec, byte)| (sec, bytes::Bytes::from(vec![byte; SECTOR_SIZE]))),
+        );
+        cache.invoke("blockdev", "write_many", &[arg]).unwrap();
+    };
+    let read_many = |secs: &[i64]| -> u64 {
+        let v = cache
+            .invoke(
+                "blockdev",
+                "read_many",
+                &[sectors_arg(secs.iter().copied())],
+            )
+            .unwrap();
+        v.as_list()
+            .unwrap()
+            .iter()
+            .fold(0, |h, b| fnv(h, b.as_bytes().unwrap()))
+    };
+
+    // Dirty write misses past capacity: evictions with coalesced extras.
+    for sec in 0..12 {
+        write(sec, 0x10 + sec as u8);
+    }
+    // Write hits, then read hits and misses (some evicting dirty lines).
+    for sec in [11, 10, 9] {
+        write(sec, 0x40 + sec as u8);
+    }
+    for sec in [11, 0, 1, 10, 2, 13, 0] {
+        read(sec);
+    }
+    for sec in [20, 21, 22, 3] {
+        write(sec, 0x60 + sec as u8);
+    }
+    for sec in [20, 4, 5] {
+        read(sec);
+    }
+    // Every line clean, then fills and batches that evict only clean lines.
+    cache.invoke("cache", "flush", &[]).unwrap();
+    let mut batch_reads = read_many(&[16, 17, 18, 19, 11]);
+    write_many(&[(3, 0x83), (21, 0x95), (11, 0x8b), (12, 0x8c)]);
+    cache.invoke("blockdev", "barrier", &[]).unwrap();
+    write_many(&[(6, 0xa6), (6, 0xa7), (14, 0xae)]);
+    batch_reads = fnv(batch_reads, &read_many(&[6, 7, 23, 14]).to_le_bytes());
+    cache.invoke("blockdev", "flush", &[]).unwrap();
+    write(7, 0xc7);
+    read(7);
+    read(15);
+    cache.invoke("blockdev", "flush", &[]).unwrap();
+
+    let clock = mem.machine().lock().now();
+    CacheFingerprint {
+        clock,
+        stats: ints(&cache.invoke("cache", "stats", &[]).unwrap()),
+        shard_stats: cache
+            .invoke("cache", "shard_stats", &[])
+            .unwrap()
+            .as_list()
+            .unwrap()
+            .iter()
+            .map(ints)
+            .collect(),
+        driver_reads_writes: ints(&driver.invoke("blockdev", "stats", &[]).unwrap()),
+        driver_invocations: driver.invocation_count() - inv0,
+        reads_digest: fnv(reads, &batch_reads.to_le_bytes()),
+        disk_digest: fnv(0, &disk_contents(&driver)),
+    }
+}
+
+/// `golden_workload(1)` and `golden_workload(4)` as recorded on the cache
+/// with separate single-sector and batch insertion paths. Any rewrite
+/// of the cache's internals must reproduce them exactly: same simulated
+/// clock, same hits, misses, writebacks and residency per shard, same
+/// backing traffic, same bytes read and on disk.
+fn golden_fingerprint(shards: usize) -> CacheFingerprint {
+    const READS: u64 = 548_168_551_944_373_673;
+    const DISK: u64 = 1_068_494_571_249_433_381;
+    match shards {
+        1 => CacheFingerprint {
+            clock: 194_000,
+            stats: vec![13, 35, 23, 8],
+            shard_stats: vec![vec![13, 35, 23, 8]],
+            driver_reads_writes: vec![14, 23],
+            driver_invocations: 20,
+            reads_digest: READS,
+            disk_digest: DISK,
+        },
+        4 => CacheFingerprint {
+            clock: 232_000,
+            stats: vec![13, 35, 23, 8],
+            shard_stats: vec![
+                vec![2, 8, 5, 2],
+                vec![1, 9, 5, 2],
+                vec![5, 8, 6, 2],
+                vec![5, 10, 7, 2],
+            ],
+            driver_reads_writes: vec![13, 23],
+            driver_invocations: 25,
+            reads_digest: READS,
+            disk_digest: DISK,
+        },
+        _ => unreachable!("no golden values for {shards} shards"),
+    }
+}
+
+#[test]
+fn cache_fingerprint_matches_golden_values() {
+    for shards in [1usize, 4] {
+        assert_eq!(
+            golden_workload(shards),
+            golden_fingerprint(shards),
+            "shards={shards}"
+        );
     }
 }
