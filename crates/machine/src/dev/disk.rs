@@ -172,35 +172,6 @@ impl Disk {
         Ok(())
     }
 
-    /// Reads a batch of sectors in one request (driver side; the driver
-    /// charges the amortised [`batch_transfer_cost`]). The whole batch is
-    /// validated before any sector is read, so a bad index fails the
-    /// request without partial effects.
-    pub fn read_sectors(&mut self, idxs: &[u64]) -> MachineResult<Vec<[u8; SECTOR_SIZE]>> {
-        let sectors = self.sectors() as u64;
-        if let Some(bad) = idxs.iter().find(|&&i| i >= sectors) {
-            return Err(MachineError::Device(format!(
-                "disk: sector {bad} out of range"
-            )));
-        }
-        idxs.iter().map(|&i| self.read_sector(i)).collect()
-    }
-
-    /// Writes a batch of `(sector, data)` pairs in one request. Validated
-    /// up front like [`Disk::read_sectors`]: a bad index writes nothing.
-    pub fn write_sectors(&mut self, batch: &[(u64, [u8; SECTOR_SIZE])]) -> MachineResult<()> {
-        let sectors = self.sectors() as u64;
-        if let Some((bad, _)) = batch.iter().find(|&&(i, _)| i >= sectors) {
-            return Err(MachineError::Device(format!(
-                "disk: sector {bad} out of range"
-            )));
-        }
-        for (i, buf) in batch {
-            self.write_sector(*i, buf)?;
-        }
-        Ok(())
-    }
-
     /// Completed read count.
     pub fn read_count(&self) -> u64 {
         self.reads
@@ -262,26 +233,6 @@ mod tests {
         let mut d = Disk::new(4);
         assert!(d.read_sector(4).is_err());
         assert!(d.write_sector(u64::MAX, &[0u8; SECTOR_SIZE]).is_err());
-    }
-
-    #[test]
-    fn batched_ops_roundtrip_and_validate_up_front() {
-        let mut d = Disk::new(8);
-        let mk = |b: u8| {
-            let mut s = [0u8; SECTOR_SIZE];
-            s[0] = b;
-            s
-        };
-        d.write_sectors(&[(1, mk(0x11)), (5, mk(0x55))]).unwrap();
-        let out = d.read_sectors(&[5, 1]).unwrap();
-        assert_eq!(out[0][0], 0x55);
-        assert_eq!(out[1][0], 0x11);
-        // A bad index anywhere in the batch fails without partial effects.
-        let writes_before = d.write_count();
-        assert!(d.write_sectors(&[(0, mk(1)), (8, mk(2))]).is_err());
-        assert_eq!(d.write_count(), writes_before);
-        assert!(d.read_sectors(&[0, 99]).is_err());
-        assert_eq!(d.read_sector(0).unwrap(), [0u8; SECTOR_SIZE]);
     }
 
     #[test]

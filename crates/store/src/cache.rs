@@ -13,10 +13,10 @@
 //! sharing is exactly why software verification is not enough (the cache
 //! sees everyone's data) and certification is the paper's answer.
 //!
-//! # Architecture (PR 5)
+//! # Architecture
 //!
-//! The cache is a sharded pipeline built for the "serve millions" load
-//! profile:
+//! A certified component has to be reviewed by hand, so the cache makes
+//! a line resident in exactly one way:
 //!
 //! - **Sharding.** Lines are partitioned `N` ways by sector
 //!   (`sector % N`). Each shard owns an independent index, LRU list and
@@ -25,35 +25,47 @@
 //!   certification are unchanged.
 //! - **O(1) LRU.** Each shard keeps its lines in a slot arena threaded
 //!   with an index-based intrusive doubly-linked list (no unsafe, no
-//!   per-node allocation): touch, insert and evict are all O(1), where
-//!   the seed implementation paid an O(n) min-scan per eviction.
+//!   per-node allocation): touch, insert and evict are all O(1).
 //! - **Zero-copy hits.** Lines store [`bytes::Bytes`]; a hit returns a
-//!   ref-counted clone of the resident buffer — no 512-byte copies on
-//!   the hot path (the seed copied twice per hit).
-//! - **Coalesced writeback.** Eviction and `flush` gather dirty lines
-//!   into sector-sorted (elevator-order) batches and issue one
-//!   vectorized `write_many` to the backing store, which charges the
-//!   amortised batch transfer cost — instead of one full-price object
-//!   invocation per sector. An eviction opportunistically takes up to
-//!   [`EVICTION_WRITEBACK_BATCH`] dirty lines from the cold end of the
-//!   LRU with it, so write-heavy scans retire their writeback debt in
-//!   bursts.
+//!   ref-counted clone of the resident buffer. `read` and `write` hits
+//!   take one shard lock and return.
+//! - **One insertion path.** Everything else goes through
+//!   `make_resident`, which makes a batch of `(sector, data)` pairs
+//!   resident in one of two modes: *write* (a client write: overwrite or
+//!   insert the line dirty, counting a hit or a miss) or *fill* (data
+//!   fetched for a read miss: insert the line clean if absent, count
+//!   nothing). It plans each shard's demand without a lock, evicts
+//!   through `Shard::evict_for`, writes the dirty victims back through
+//!   `write_back`, and only then applies the batch. `write_many` and a
+//!   `write` miss run it in write mode; `read_many` and a `read` miss
+//!   fetch through the backing `read_many` and run it in fill mode.
+//! - **Coalesced writeback.** Dirty victims leave in one sector-sorted
+//!   (elevator-order) `write_many`, together with up to
+//!   [`EVICTION_WRITEBACK_BATCH`] − victims cold dirty lines of the same
+//!   shard, so write-heavy scans retire their writeback debt in bursts.
+//!   `flush` sends every dirty line through the same helper. Each batch
+//!   is chunked to the backing's `write_limit`.
 //! - **Durability.** Dirty lines are marked clean only *after* the
 //!   backing write succeeds, checked against a per-line version so a
 //!   line rewritten while its writeback was in flight stays dirty. A
-//!   failed backing write loses nothing: flush leaves every line dirty
-//!   and eviction reinserts the victim.
+//!   failed backing write loses nothing: resident lines stay dirty and
+//!   evicted victims are put back.
+//! - **No partial batches.** Eviction and its writeback finish before
+//!   any pair is applied, so a failed `write_many` leaves the cache
+//!   unchanged. A batch with more distinct sectors in one shard than the
+//!   shard holds bypasses the cache: a write streams through to the
+//!   backing store (refreshing resident lines as clean), a fill is
+//!   returned uncached.
 //! - **Strict capacity.** Eviction happens *before* insertion, so the
 //!   cache never holds more than `capacity` lines, even transiently.
-//! - **Per-shard locking (PR 7).** Each shard sits behind its own spin
+//! - **Per-shard locking.** Each shard sits behind its own spin
 //!   [`TryLock`] instead of the object's exclusive instance state, so
 //!   concurrent clients on real OS threads (the world pool) proceed in
 //!   parallel on disjoint shards. Uncontended acquisition is one atomic
-//!   swap — the same cost the old `with_state` path paid — and no lock
-//!   is ever held across a backing-store invocation. Multi-shard
-//!   operations lock one shard at a time: under concurrency they are
-//!   atomic per shard, not across the cache (single-client behaviour is
-//!   unchanged).
+//!   swap, and no lock is ever held across a backing-store invocation.
+//!   Multi-shard operations lock one shard at a time: under concurrency
+//!   they are atomic per shard, not across the cache (single-client
+//!   behaviour is unchanged).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -103,14 +115,13 @@ impl Hasher for SectorHasher {
 }
 
 type SectorMap<V> = HashMap<i64, V, BuildHasherDefault<SectorHasher>>;
-type SectorSet = std::collections::HashSet<i64, BuildHasherDefault<SectorHasher>>;
 
 /// Sentinel for "no slot" in the intrusive LRU list.
 const NIL: u32 = u32::MAX;
 
-/// Most dirty lines one eviction writeback will coalesce (the victim plus
-/// opportunistic extras from the cold end of the LRU list). Bounded so a
-/// single miss never turns into an unbounded flush.
+/// Most dirty lines one eviction writeback will coalesce from a shard
+/// (its victims plus opportunistic extras from the cold end of the LRU
+/// list). Bounded so a single miss never turns into an unbounded flush.
 pub const EVICTION_WRITEBACK_BATCH: usize = 8;
 
 /// One cache line. LRU threading lives in the shard's parallel `links`
@@ -130,6 +141,11 @@ struct Line {
 
 /// Intrusive doubly-linked list node: `(prev, next)` slot indices.
 type Link = (u32, u32);
+
+/// A dirty line on its way to the backing store: `(sector, data,
+/// version)`, where `version` is `None` for an evicted victim and the
+/// line's version for one that stays resident.
+type Dirty = (i64, Bytes, Option<u64>);
 
 /// One shard: an independent slot arena + hash index + LRU list + stats.
 struct Shard {
@@ -241,44 +257,68 @@ impl Shard {
         self.map.insert(sector, idx);
     }
 
-    /// Removes the LRU line, returning `(sector, data, dirty)`.
-    fn pop_lru(&mut self) -> Option<(i64, Bytes, bool)> {
-        let idx = self.tail;
-        if idx == NIL {
-            return None;
-        }
+    /// Replaces the data of the resident line in slot `idx` under a fresh
+    /// version and moves it to the MRU end.
+    fn overwrite(&mut self, idx: u32, data: Bytes, dirty: bool) {
+        let version = self.next_version();
+        let line = &mut self.slots[idx as usize];
+        line.data = data;
+        line.dirty = dirty;
+        line.version = version;
+        self.touch(idx);
+    }
+
+    /// Unlinks and frees slot `idx`, returning its `(sector, data, dirty)`.
+    fn remove(&mut self, idx: u32) -> (i64, Bytes, bool) {
         self.unlink(idx);
         self.free.push(idx);
         let line = &mut self.slots[idx as usize];
         self.map.remove(&line.sector);
-        Some((line.sector, std::mem::take(&mut line.data), line.dirty))
+        (line.sector, std::mem::take(&mut line.data), line.dirty)
     }
 
-    /// Snapshots up to `max` dirty lines starting from the LRU end,
-    /// without clearing their dirty bits (that happens only after the
-    /// backing write succeeds, version-checked).
-    fn dirty_from_lru(&self, max: usize) -> Vec<(i64, Bytes, u64)> {
-        let mut out = Vec::new();
+    /// Evicts from the LRU end until every sector of `sectors` (distinct,
+    /// sorted, all owned by this shard) fits. Evicting one of `sectors`
+    /// itself only turns it back into demand. Dirty victims go to `out`,
+    /// followed — if there were any — by up to
+    /// [`EVICTION_WRITEBACK_BATCH`] − victims cold dirty lines that stay
+    /// resident, so they share the victims' backing write.
+    fn evict_for(&mut self, sectors: &[i64], out: &mut Vec<Dirty>) {
+        debug_assert!(sectors.len() <= self.capacity);
+        let mut need = sectors
+            .iter()
+            .filter(|sec| !self.map.contains_key(sec))
+            .count();
+        let mut victims = 0;
+        while self.len() + need > self.capacity {
+            let (sec, data, dirty) = self.remove(self.tail);
+            if sectors.binary_search(&sec).is_ok() {
+                need += 1;
+            }
+            if dirty {
+                out.push((sec, data, None));
+                victims += 1;
+            }
+        }
+        if victims > 0 {
+            self.dirty_from_lru(EVICTION_WRITEBACK_BATCH.saturating_sub(victims), out);
+        }
+    }
+
+    /// Snapshots up to `max` dirty lines starting from the LRU end into
+    /// `out`, without clearing their dirty bits (that happens only after
+    /// the backing write succeeds, version-checked).
+    fn dirty_from_lru(&self, max: usize, out: &mut Vec<Dirty>) {
         let mut idx = self.tail;
-        while idx != NIL && out.len() < max {
+        let mut taken = 0;
+        while idx != NIL && taken < max {
             let l = &self.slots[idx as usize];
             if l.dirty {
-                out.push((l.sector, l.data.clone(), l.version));
+                out.push((l.sector, l.data.clone(), Some(l.version)));
+                taken += 1;
             }
             idx = self.links[idx as usize].0;
         }
-        out
-    }
-
-    /// Snapshots every dirty line in the shard (for `flush`).
-    fn all_dirty(&self) -> Vec<(i64, Bytes, u64)> {
-        self.map
-            .values()
-            .filter_map(|&idx| {
-                let l = &self.slots[idx as usize];
-                l.dirty.then(|| (l.sector, l.data.clone(), l.version))
-            })
-            .collect()
     }
 
     /// Clears the dirty bit of `sector` if still resident at `version`.
@@ -291,20 +331,14 @@ impl Shard {
         }
     }
 
-    /// Drops `sector`'s line if it is resident and *clean*. Used when a
-    /// committed transaction rewrites the sector below the cache: the
-    /// resident copy is stale and must not serve another hit. A dirty
-    /// line survives — it holds a direct client write the cache has not
-    /// acknowledged to the backing store yet, and dropping it would lose
-    /// acknowledged data.
-    fn invalidate_clean(&mut self, sector: i64) {
+    /// Drops `sector`'s line, clean or dirty. Used when a committed
+    /// transaction rewrote the sector below the cache: the commit is
+    /// later than any write the line holds, so the resident copy is stale
+    /// — serving it would hide the committed data and writing it back
+    /// would overwrite it.
+    fn invalidate(&mut self, sector: i64) {
         if let Some(&idx) = self.map.get(&sector) {
-            if !self.slots[idx as usize].dirty {
-                self.map.remove(&sector);
-                self.unlink(idx);
-                self.free.push(idx);
-                self.slots[idx as usize].data = Bytes::new();
-            }
+            self.remove(idx);
         }
     }
 }
@@ -315,21 +349,13 @@ impl Shard {
 /// Every method closure captures this as an `Arc`, bypassing the object's
 /// exclusive instance state entirely: two clients touching different
 /// shards never serialize, which is what lets one shared cache serve many
-/// concurrent worlds (the world pool) without a global lock. The per-shard
-/// invariants are unchanged from the exclusive design — evict-before-
-/// insert, dirty lines cleaned only after a version-checked successful
-/// backing write, failed batches reinsert their victims. The one semantic
-/// narrowing under *concurrent* clients: multi-shard operations
+/// concurrent worlds (the world pool) without a global lock. The one
+/// semantic narrowing under *concurrent* clients: multi-shard operations
 /// (`read_many`, `write_many`, `flush`, `stats`) lock one shard at a
-/// time, so they are atomic per shard rather than across the whole cache;
-/// single-client behaviour is bit-identical to the old global-lock
-/// design.
+/// time, so they are atomic per shard rather than across the whole cache.
 struct CacheShared {
     backing: ObjRef,
     /// Always a power-of-two length so routing is a mask, not a divide.
-    /// Each shard is independently locked; the uncontended acquire is one
-    /// atomic swap, so a warmed single-client hit costs what it did under
-    /// the exclusive-state design.
     shards: Vec<TryLock<Shard>>,
     shard_mask: u64,
     /// Per-shard line capacity (uniform across shards), readable without
@@ -338,11 +364,11 @@ struct CacheShared {
     /// Largest batch the backing store accepts as one `write_many` —
     /// a journal below bounds it by its log capacity (its `write_limit`
     /// method); a backing without the method is unbounded
-    /// (`usize::MAX`). Probed once at build time. Every internal
-    /// writeback path chunks to this, so a flush of more dirty lines
-    /// than one journal transaction can carry degrades into several
-    /// transactions instead of an unservable oversized one that would
-    /// leave the lines dirty forever.
+    /// (`usize::MAX`). Probed once at build time. Every writeback is
+    /// chunked to this, so a flush of more dirty lines than one journal
+    /// transaction can carry degrades into several transactions instead
+    /// of an unservable oversized one that would leave the lines dirty
+    /// forever.
     write_limit: usize,
     /// Backing device size, fetched lazily on the first dirty write and
     /// used to reject out-of-range writes up front — an unwritable sector
@@ -392,193 +418,196 @@ impl CacheShared {
     }
 }
 
-/// Writes an internal writeback `batch` (sector-sorted by the caller)
-/// to the backing store, split into sub-batches no larger than the
-/// backing's atomic-write limit (see `CacheShared::write_limit`).
-/// Writeback needs every sector durable, not one atomic unit, so the
-/// split never weakens a guarantee — client-visible atomicity comes
-/// from the transaction verbs, which bypass this path entirely. Against
-/// an unbounded backing this is exactly one `write_many`.
-fn write_back_chunked(shared: &CacheShared, batch: &[(i64, Bytes)]) -> ObjResult<()> {
-    for chunk in batch.chunks(shared.write_limit) {
-        shared
+/// Writes dirty `lines` back in sector order, as `write_many` calls of at
+/// most `write_limit` lines each. Writeback needs every sector durable,
+/// not one atomic unit, so the split weakens no guarantee. Each landed
+/// line counts one writeback in its shard, and a resident one is marked
+/// clean unless it changed since its snapshot. If a chunk fails, the
+/// victims not yet written are put back (their slots are still free
+/// unless a concurrent client took them) and the error surfaces:
+/// acknowledged data is never dropped.
+fn write_back(shared: &CacheShared, mut lines: Vec<Dirty>) -> ObjResult<()> {
+    lines.sort_unstable_by_key(|(sec, _, _)| *sec);
+    let mut landed = 0;
+    while landed < lines.len() {
+        let end = lines.len().min(landed.saturating_add(shared.write_limit));
+        let chunk = lines[landed..end].iter().map(|(s, d, _)| (*s, d.clone()));
+        if let Err(e) = shared
             .backing
-            .invoke("blockdev", "write_many", &[pairs_arg(chunk.to_vec())])?;
+            .invoke("blockdev", "write_many", &[pairs_arg(chunk)])
+        {
+            for (sec, data, _) in lines.drain(landed..).filter(|l| l.2.is_none()) {
+                let mut sh = shared.shard(sec);
+                if !sh.map.contains_key(&sec) && sh.len() < sh.capacity {
+                    sh.insert(sec, data, true);
+                }
+            }
+            return Err(e);
+        }
+        for (sec, _, version) in &lines[landed..end] {
+            let mut sh = shared.shard(*sec);
+            sh.writebacks += 1;
+            if let Some(version) = version {
+                sh.mark_clean_if_unchanged(*sec, *version);
+            }
+        }
+        landed = end;
     }
     Ok(())
 }
 
-/// Outcome of one locked reservation attempt in [`insert_line`].
-enum Reserve {
-    /// The line is resident (updated in place or inserted).
-    Done,
-    /// The shard was full of dirty lines: `victims` were evicted (removed)
-    /// and must be written back or reinserted; `extras` are still-resident
-    /// dirty lines coalesced into the same batch.
-    NeedWriteback {
-        victims: Vec<(i64, Bytes)>,
-        extras: Vec<(i64, Bytes, u64)>,
-    },
+/// How [`make_resident`] applies each pair.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// A client write: overwrite or insert the line dirty, counting a
+    /// hit or a miss.
+    Write,
+    /// Data fetched for a read miss: insert the line clean if absent,
+    /// count nothing. A resident line is newer than the fetch and is
+    /// left untouched.
+    Fill,
 }
 
-/// One locked reservation attempt for [`insert_line`]: resolves the
-/// sector in place when possible, otherwise evicts and reports what needs
-/// writing back. Never invokes the backing store (the shard lock is held).
-fn reserve_line(sh: &mut Shard, sector: i64, data: &Bytes, dirty: bool, count: bool) -> Reserve {
-    if let Some(&idx) = sh.map.get(&sector) {
-        if count {
-            sh.hits += 1;
+/// Makes every `(sector, data)` pair resident — the cache's one insertion
+/// path. In order:
+///
+/// 1. plan each shard's distinct sectors, without a lock;
+/// 2. evict from each shard ([`Shard::evict_for`]);
+/// 3. write the dirty victims and their coalesced extras back
+///    ([`write_back`]) — on failure nothing of the batch is applied;
+/// 4. apply the batch, one shard lock at a time.
+///
+/// For a single client step 4 finds room everywhere. A concurrent client
+/// that refilled a shard in between is evicted again under the apply's
+/// lock, and what it displaces is written back afterwards. A batch with
+/// more distinct sectors in one shard than the shard holds bypasses the
+/// cache: a write streams through, refreshing resident lines as clean,
+/// and a fill is left uncached.
+fn make_resident(shared: &CacheShared, pairs: &[(i64, Bytes)], mode: Mode) -> ObjResult<()> {
+    let mut plan: Vec<i64> = pairs.iter().map(|(sec, _)| *sec).collect();
+    plan.sort_unstable_by_key(|&sec| (shared.shard_of(sec), sec));
+    plan.dedup();
+    let same_shard = |a: &i64, b: &i64| shared.shard_of(*a) == shared.shard_of(*b);
+    if plan
+        .chunk_by(same_shard)
+        .any(|group| group.len() > shared.per_shard)
+    {
+        if mode == Mode::Write {
+            // A stable sort keeps duplicate sectors in batch order, so
+            // the last write of a sector still lands last.
+            let mut batch = pairs.to_vec();
+            batch.sort_by_key(|(sec, _)| *sec);
+            for chunk in batch.chunks(shared.write_limit) {
+                shared
+                    .backing
+                    .invoke("blockdev", "write_many", &[pairs_arg(chunk.to_vec())])?;
+            }
+            for (sec, data) in pairs {
+                let mut sh = shared.shard(*sec);
+                if let Some(&idx) = sh.map.get(sec) {
+                    sh.overwrite(idx, data.clone(), false);
+                }
+            }
         }
-        if dirty {
-            let version = sh.next_version();
-            let line = &mut sh.slots[idx as usize];
-            line.data = data.clone();
-            line.dirty = true;
-            line.version = version;
-        }
-        sh.touch(idx);
-        return Reserve::Done;
+        return Ok(());
     }
-    if count {
-        sh.misses += 1;
-    }
-    if sh.len() < sh.capacity {
-        sh.insert(sector, data.clone(), dirty);
-        return Reserve::Done;
-    }
-    // Full: evict-before-insert. Clean victims just drop; dirty ones must
-    // reach the backing store first.
     let mut victims = Vec::new();
-    while sh.len() >= sh.capacity {
-        let (vsec, vdata, vdirty) = sh.pop_lru().expect("full shard has an LRU line");
-        if vdirty {
-            victims.push((vsec, vdata));
+    for group in plan.chunk_by(same_shard) {
+        shared.shard(group[0]).evict_for(group, &mut victims);
+    }
+    write_back(shared, victims)?;
+    let mut displaced = Vec::new();
+    for group in plan.chunk_by(same_shard) {
+        let shard = shared.shard_of(group[0]);
+        let mut sh = shared.shards[shard].lock();
+        sh.evict_for(group, &mut displaced);
+        for (sec, data) in pairs.iter().filter(|(s, _)| shared.shard_of(*s) == shard) {
+            match sh.map.get(sec).copied() {
+                Some(idx) if mode == Mode::Write => {
+                    sh.hits += 1;
+                    sh.overwrite(idx, data.clone(), true);
+                }
+                Some(_) => {}
+                None => {
+                    if mode == Mode::Write {
+                        sh.misses += 1;
+                    }
+                    sh.insert(*sec, data.clone(), mode == Mode::Write);
+                }
+            }
         }
     }
-    if victims.is_empty() {
-        sh.insert(sector, data.clone(), dirty);
-        return Reserve::Done;
-    }
-    let extras = sh.dirty_from_lru(EVICTION_WRITEBACK_BATCH.saturating_sub(victims.len()));
-    Reserve::NeedWriteback { victims, extras }
+    write_back(shared, displaced)
 }
 
-/// Makes `sector` resident with `data`.
-///
-/// With `dirty` the line is (over)written and marked dirty (a client
-/// write); without it the call only *fills* — an already-resident line is
-/// left untouched so a fetch completing late can never clobber newer
-/// client data. `count_stats` records one hit or miss (vectorized paths
-/// and internal retries manage their own accounting).
-///
-/// Eviction happens *before* insertion — the shard never exceeds its
-/// capacity, even transiently — and dirty victims leave through a
-/// sector-sorted batched `write_many` together with up to
-/// [`EVICTION_WRITEBACK_BATCH`] cold dirty lines. If the backing write
-/// fails the victims are reinserted and the error surfaces to the caller:
-/// no acknowledged write is ever dropped. Only the one shard owning
-/// `sector` is ever locked, and never across a backing invocation.
-fn insert_line(
-    shared: &CacheShared,
-    sector: i64,
-    data: &Bytes,
-    dirty: bool,
-    count_stats: bool,
-) -> ObjResult<()> {
-    let mut count = count_stats;
-    loop {
-        let step = reserve_line(&mut shared.shard(sector), sector, data, dirty, count);
-        count = false;
-        let (victims, extras) = match step {
-            Reserve::Done => return Ok(()),
-            Reserve::NeedWriteback { victims, extras } => (victims, extras),
-        };
-        let mut batch: Vec<(i64, Bytes)> = victims
-            .iter()
-            .cloned()
-            .chain(extras.iter().map(|(sec, d, _)| (*sec, d.clone())))
-            .collect();
-        batch.sort_unstable_by_key(|(sec, _)| *sec);
-        let written = batch.len() as u64;
-        match write_back_chunked(shared, &batch) {
-            Ok(_) => {
-                let mut sh = shared.shard(sector);
-                sh.writebacks += written;
-                for (sec, _, version) in &extras {
-                    sh.mark_clean_if_unchanged(*sec, *version);
-                }
-                // Loop around: the shard now has room for the insert.
-            }
-            Err(e) => {
-                // Durability: the backing write failed, so the evicted
-                // dirty data goes back into the cache and the caller sees
-                // the error. (The slot freed by the eviction is still
-                // free, so reinsertion cannot overflow.)
-                let mut sh = shared.shard(sector);
-                for (vsec, vdata) in victims {
-                    if !sh.map.contains_key(&vsec) && sh.len() < sh.capacity {
-                        sh.insert(vsec, vdata, true);
-                    }
-                }
-                return Err(e);
-            }
-        }
+/// Fetches `sectors` (sorted, distinct) with one backing `read_many` and
+/// fills them in, returning the fetched `(sector, data)` pairs in order.
+/// (Negative sectors reach the backing store too and are rejected by its
+/// own validation.)
+fn fetch(shared: &CacheShared, sectors: &[i64]) -> ObjResult<Vec<(i64, Bytes)>> {
+    let fetched = shared.backing.invoke(
+        "blockdev",
+        "read_many",
+        &[sectors_arg(sectors.iter().copied())],
+    )?;
+    let list = fetched.as_list()?;
+    if list.len() != sectors.len() {
+        return Err(ObjError::failed("backing read_many returned a short batch"));
     }
+    let pairs = sectors
+        .iter()
+        .zip(list)
+        .map(|(&sec, v)| {
+            let data = v.as_bytes()?.clone();
+            if data.len() != SECTOR_SIZE {
+                return Err(ObjError::failed("backing store returned a short sector"));
+            }
+            Ok((sec, data))
+        })
+        .collect::<ObjResult<Vec<_>>>()?;
+    make_resident(shared, &pairs, Mode::Fill)?;
+    Ok(pairs)
 }
 
 fn cache_read(shared: &CacheShared, sector: i64) -> ObjResult<Value> {
-    // Fast path: a hit returns a ref-counted clone of the resident
-    // buffer — no byte copy, one O(1) LRU touch, one shard lock.
-    let hit = {
+    {
         let mut sh = shared.shard(sector);
-        match sh.map.get(&sector).copied() {
-            Some(idx) => {
-                sh.hits += 1;
-                sh.touch(idx);
-                Some(sh.slots[idx as usize].data.clone())
-            }
-            None => {
-                sh.misses += 1;
-                None
-            }
+        if let Some(idx) = sh.map.get(&sector).copied() {
+            sh.hits += 1;
+            sh.touch(idx);
+            return Ok(Value::Bytes(sh.slots[idx as usize].data.clone()));
         }
-    };
-    if let Some(data) = hit {
-        return Ok(Value::Bytes(data));
+        sh.misses += 1;
     }
-    // Miss: fetch with no lock held (the backing store may itself be an
-    // object graph).
-    let fetched = shared
-        .backing
-        .invoke("blockdev", "read", &[Value::Int(sector)])?;
-    let data = fetched.as_bytes()?.clone();
-    if data.len() != SECTOR_SIZE {
-        return Err(ObjError::failed("backing store returned a short sector"));
-    }
-    insert_line(shared, sector, &data, false, false)?;
+    let (_, data) = fetch(shared, &[sector])?.remove(0);
     Ok(Value::Bytes(data))
 }
 
+fn cache_write(shared: &CacheShared, sector: i64, data: &Bytes) -> ObjResult<Value> {
+    {
+        let mut sh = shared.shard(sector);
+        if let Some(idx) = sh.map.get(&sector).copied() {
+            sh.hits += 1;
+            sh.overwrite(idx, data.clone(), true);
+            return Ok(Value::Unit);
+        }
+    }
+    make_resident(shared, &[(sector, data.clone())], Mode::Write)?;
+    Ok(Value::Unit)
+}
+
 fn cache_read_many(shared: &CacheShared, sectors: &[Value]) -> ObjResult<Value> {
-    // One pass builds the result list in place, re-locking only when the
-    // owning shard changes — a single-shard cache pays exactly one lock
-    // for the whole batch, and runs of shard-local sectors amortize
-    // theirs. At most one shard lock is ever held (the previous guard is
-    // dropped before the next acquire), so concurrent batches cannot
-    // deadlock however their shard orders interleave. Hits resolve to a
-    // zero-copy clone immediately, misses leave a `Unit` placeholder.
+    // Hits resolve to a zero-copy clone immediately, misses leave a
+    // `Unit` placeholder for the one backing fetch below.
     let mut results: Vec<Value> = Vec::with_capacity(sectors.len());
     let mut missing: Vec<i64> = Vec::new();
     {
         // Take every shard guard up front, in ascending index order —
         // the one multi-lock site in the cache, and every other path
         // holds at most one shard at a time, so no acquisition cycle can
-        // form. This keeps the hit pass identical to the single-lock
-        // original (one pass, no per-sector lock traffic, no grouping
-        // allocations): the whole batch pays `nshards` uncontended
-        // atomic swaps, not one per sector. Guards drop before the miss
-        // path runs, so no shard lock is held across a backing
-        // invocation.
+        // form. The whole batch pays `nshards` uncontended atomic swaps,
+        // not one per sector. Guards drop before the miss path runs, so
+        // no shard lock is held across a backing invocation.
         let mut guards: Vec<TryLockGuard<'_, Shard>> =
             shared.shards.iter().map(|s| s.lock()).collect();
         for v in sectors {
@@ -599,226 +628,34 @@ fn cache_read_many(shared: &CacheShared, sectors: &[Value]) -> ObjResult<Value> 
         }
     }
     if !missing.is_empty() {
-        // One vectorized backing fetch for all misses, in elevator order.
-        // (Negative sectors land here too and are rejected by the
-        // backing driver's own validation.)
         missing.sort_unstable();
         missing.dedup();
-        let fetched = shared.backing.invoke(
-            "blockdev",
-            "read_many",
-            &[sectors_arg(missing.iter().copied())],
-        )?;
-        let list = fetched.as_list()?;
-        if list.len() != missing.len() {
-            return Err(ObjError::failed("backing read_many returned a short batch"));
-        }
-        let mut by_sector: HashMap<i64, Bytes> = HashMap::with_capacity(missing.len());
-        for (&sec, v) in missing.iter().zip(list.iter()) {
-            let data = v.as_bytes()?.clone();
-            if data.len() != SECTOR_SIZE {
-                return Err(ObjError::failed("backing store returned a short sector"));
-            }
-            insert_line(shared, sec, &data, false, false)?;
-            by_sector.insert(sec, data);
-        }
-        for (pos, v) in sectors.iter().enumerate() {
-            if matches!(results[pos], Value::Unit) {
-                results[pos] = Value::Bytes(by_sector[&v.as_int()?].clone());
+        let fetched = fetch(shared, &missing)?;
+        for (slot, v) in results.iter_mut().zip(sectors) {
+            if matches!(slot, Value::Unit) {
+                let sec = v.as_int()?;
+                let at = fetched
+                    .binary_search_by_key(&sec, |(s, _)| *s)
+                    .expect("every miss was fetched");
+                *slot = Value::Bytes(fetched[at].1.clone());
             }
         }
     }
     Ok(Value::List(results))
 }
 
-/// Applies a validated batch of `(sector, data)` writes with the
-/// driver's no-partial-effects contract: shard space for every batch
-/// sector is reserved (evicting, writing dirty victims back) *before*
-/// any pair is cached, so a failed eviction writeback surfaces with the
-/// cache unchanged; the apply pass then locks each shard once and cannot
-/// fail for a single client. Batches too large for their shards bypass
-/// the cache as one streaming write-through (resident lines are
-/// refreshed in place).
-fn cache_write_many(shared: &CacheShared, pairs: &[(i64, Bytes)]) -> ObjResult<Value> {
-    if pairs.is_empty() {
-        return Ok(Value::Int(0));
-    }
-    let n = pairs.len() as i64;
-    // Distinct batch sectors per shard decide whether the batch can be
-    // fully resident after the apply pass. Capacities are fixed, so this
-    // plan needs no locks at all.
-    let mut in_batch = SectorSet::default();
-    let mut shard_sectors: Vec<Vec<i64>> = vec![Vec::new(); shared.shards.len()];
-    for (sec, _) in pairs {
-        if in_batch.insert(*sec) {
-            shard_sectors[shared.shard_of(*sec)].push(*sec);
-        }
-    }
-    let fits = shard_sectors.iter().all(|s| s.len() <= shared.per_shard);
-    if !fits {
-        // Streaming write-through: one sector-sorted backing write (a
-        // stable sort keeps duplicate-sector order, so last-wins is
-        // preserved — chunks land in order, so it survives the split
-        // too), then refresh any resident lines as clean.
-        let mut batch: Vec<(i64, Bytes)> = pairs.to_vec();
-        batch.sort_by_key(|(sec, _)| *sec);
-        write_back_chunked(shared, &batch)?;
-        let mut by_shard: Vec<Vec<&(i64, Bytes)>> = vec![Vec::new(); shared.shards.len()];
-        for pair in pairs {
-            by_shard[shared.shard_of(pair.0)].push(pair);
-        }
-        for (i, entries) in by_shard.iter().enumerate() {
-            if entries.is_empty() {
-                continue;
-            }
-            let mut sh = shared.shards[i].lock();
-            for (sec, data) in entries.iter().copied() {
-                if let Some(idx) = sh.map.get(sec).copied() {
-                    let version = sh.next_version();
-                    let line = &mut sh.slots[idx as usize];
-                    line.data = data.clone();
-                    line.dirty = false;
-                    line.version = version;
-                    sh.touch(idx);
-                }
-            }
-        }
-        return Ok(Value::Int(n));
-    }
-    // Reserve: evict until every shard can absorb its batch sectors.
-    // Evicting a batch-resident line just converts it into demand (it is
-    // re-inserted by the apply pass), so progress comes from non-batch
-    // victims; termination holds because each pop removes one line. Each
-    // shard is locked once per pass, never across the backing write.
-    loop {
-        let mut victims: Vec<(i64, Bytes)> = Vec::new();
-        for (i, secs) in shard_sectors.iter().enumerate() {
-            if secs.is_empty() {
-                continue;
-            }
-            let mut sh = shared.shards[i].lock();
-            let mut need = secs.iter().filter(|sec| !sh.map.contains_key(sec)).count();
-            while sh.len() + need > sh.capacity {
-                let (vsec, vdata, vdirty) =
-                    sh.pop_lru().expect("over-demand shard has an LRU line");
-                if in_batch.contains(&vsec) {
-                    need += 1;
-                }
-                if vdirty {
-                    victims.push((vsec, vdata));
-                }
-            }
-        }
-        if victims.is_empty() {
-            break;
-        }
-        let mut batch = victims.clone();
-        batch.sort_unstable_by_key(|(sec, _)| *sec);
-        match write_back_chunked(shared, &batch) {
-            Ok(_) => {
-                for (sec, _) in &victims {
-                    shared.shard(*sec).writebacks += 1;
-                }
-                // Loop re-checks demand in case the backing re-entered
-                // the cache during the writeback.
-            }
-            Err(e) => {
-                // Nothing was applied yet: reinsert the dirty victims and
-                // surface the error — the batch has no partial effects.
-                for (vsec, vdata) in victims {
-                    let mut sh = shared.shard(vsec);
-                    if !sh.map.contains_key(&vsec) && sh.len() < sh.capacity {
-                        sh.insert(vsec, vdata, true);
-                    }
-                }
-                return Err(e);
-            }
-        }
-    }
-    // Apply: space is reserved, so for a single client this pass cannot
-    // evict and cannot fail. A concurrent client racing the same shard
-    // could steal reserved space between the passes; the defensive
-    // eviction below keeps `resident ≤ capacity` and writes any displaced
-    // dirty line back afterwards.
-    let mut by_shard: Vec<Vec<&(i64, Bytes)>> = vec![Vec::new(); shared.shards.len()];
-    for pair in pairs {
-        by_shard[shared.shard_of(pair.0)].push(pair);
-    }
-    let mut displaced: Vec<(i64, Bytes)> = Vec::new();
-    for (i, entries) in by_shard.iter().enumerate() {
-        if entries.is_empty() {
-            continue;
-        }
-        let mut sh = shared.shards[i].lock();
-        for (sec, data) in entries.iter().copied() {
-            match sh.map.get(sec).copied() {
-                Some(idx) => {
-                    sh.hits += 1;
-                    let version = sh.next_version();
-                    let line = &mut sh.slots[idx as usize];
-                    line.data = data.clone();
-                    line.dirty = true;
-                    line.version = version;
-                    sh.touch(idx);
-                }
-                None => {
-                    sh.misses += 1;
-                    while sh.len() >= sh.capacity {
-                        let (vsec, vdata, vdirty) =
-                            sh.pop_lru().expect("full shard has an LRU line");
-                        if vdirty {
-                            displaced.push((vsec, vdata));
-                        }
-                    }
-                    sh.insert(*sec, data.clone(), true);
-                }
-            }
-        }
-    }
-    if !displaced.is_empty() {
-        displaced.sort_unstable_by_key(|(sec, _)| *sec);
-        write_back_chunked(shared, &displaced)?;
-        for (sec, _) in &displaced {
-            shared.shard(*sec).writebacks += 1;
-        }
-    }
-    Ok(Value::Int(n))
-}
-
+/// Writes every dirty line back, returning how many there were. A
+/// journal below takes each `write_limit` chunk as one log transaction,
+/// and lines are marked clean per landed chunk, so a failure mid-flush
+/// leaves exactly the unwritten lines dirty for the retry.
 fn cache_flush(shared: &CacheShared) -> ObjResult<Value> {
-    // Snapshot every dirty line (without clearing — lines are marked
-    // clean only after the backing write succeeds), one shard at a time.
-    let mut dirty: Vec<(i64, Bytes, u64)> = Vec::new();
+    let mut dirty = Vec::new();
     for lock in &shared.shards {
-        dirty.extend(lock.lock().all_dirty());
+        lock.lock().dirty_from_lru(usize::MAX, &mut dirty);
     }
-    if dirty.is_empty() {
-        return Ok(Value::Int(0));
-    }
-    // Elevator order, chunked to the backing's atomic-write limit: a
-    // journal below takes each chunk as one log transaction, so a flush
-    // of more dirty lines than its log can hold in a single record
-    // still drains completely. Lines are marked clean per landed chunk,
-    // so a failure mid-flush leaves exactly the unwritten lines dirty
-    // for the retry.
-    dirty.sort_unstable_by_key(|(sec, _, _)| *sec);
-    for chunk in dirty.chunks(shared.write_limit) {
-        let batch: Vec<(i64, Bytes)> = chunk
-            .iter()
-            .map(|(sec, data, _)| (*sec, data.clone()))
-            .collect();
-        shared
-            .backing
-            .invoke("blockdev", "write_many", &[pairs_arg(batch)])?;
-        for (sec, _, version) in chunk {
-            // Clean bits only now that the write succeeded, attributing
-            // the writeback to the shard that owned the line.
-            let mut sh = shared.shard(*sec);
-            sh.mark_clean_if_unchanged(*sec, *version);
-            sh.writebacks += 1;
-        }
-    }
-    Ok(Value::Int(dirty.len() as i64))
+    let n = dirty.len() as i64;
+    write_back(shared, dirty)?;
+    Ok(Value::Int(n))
 }
 
 /// Builds a block cache of `capacity` total sectors over `backing`,
@@ -840,8 +677,8 @@ fn cache_flush(shared: &CacheShared) -> ObjResult<Value> {
 ///   matters: a journal checkpoint below must see these writes in its
 ///   log before it truncates, or "flushed" data would survive only in
 ///   cache memory. Transaction verbs are forwarded (transaction data
-///   never becomes cache lines); a successful `commit` invalidates
-///   stale clean resident copies of the written sectors.
+///   never becomes cache lines); a successful `commit` drops the
+///   resident lines of the written sectors, clean or dirty.
 /// - a `cache` interface:
 ///   - `stats() -> [hits, misses, writebacks, resident]` (aggregated),
 ///   - `shard_stats() -> list of per-shard [hits, misses, writebacks, resident]`,
@@ -886,10 +723,8 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
             let s_txn_write = blockdev_shared.clone();
             let s_commit = blockdev_shared.clone();
             let s_abort = blockdev_shared.clone();
-            // Unlike the driver and the journal, the cache keeps `read`
-            // and `write` apart from the batch verbs: they carry the
-            // lock-once hit path and the eviction's
-            // `EVICTION_WRITEBACK_BATCH` coalescing.
+            // `read` and `write` answer a hit under one shard lock; a
+            // miss runs the batch path with one sector.
             i.method("read", &[TypeTag::Int], TypeTag::Bytes, move |_, args| {
                 cache_read(&s_read, args[0].as_int()?)
             })
@@ -906,8 +741,7 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
                         )));
                     }
                     s_write.check_writable_sector(sector)?;
-                    insert_line(&s_write, sector, incoming, true, true)?;
-                    Ok(Value::Unit)
+                    cache_write(&s_write, sector, incoming)
                 },
             )
             .method(
@@ -927,7 +761,8 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
                     for (sector, _) in &pairs {
                         s_write_many.check_writable_sector(*sector)?;
                     }
-                    cache_write_many(&s_write_many, &pairs)
+                    make_resident(&s_write_many, &pairs, Mode::Write)?;
+                    Ok(Value::Int(pairs.len() as i64))
                 },
             )
             .method("sectors", &[], TypeTag::Int, move |_, _| {
@@ -973,11 +808,12 @@ pub(crate) fn build_sharded_block_cache(backing: ObjRef, capacity: usize, shards
             .method("commit", &[TypeTag::Int], TypeTag::Unit, move |_, args| {
                 let txn = parse_txn(&args[0])?;
                 let out = s_commit.backing.invoke("blockdev", "commit", args)?;
-                // The commit rewrote these sectors below us: drop stale
-                // clean copies so the next read refetches.
+                // The commit rewrote these sectors below us, later than
+                // any write a resident line holds: drop those lines so
+                // the next read refetches the committed data.
                 if let Some(secs) = s_commit.txn_sectors.lock().remove(&txn) {
                     for sec in secs {
-                        s_commit.shard(sec).invalidate_clean(sec);
+                        s_commit.shard(sec).invalidate(sec);
                     }
                 }
                 Ok(out)
@@ -1447,6 +1283,37 @@ mod tests {
     }
 
     #[test]
+    fn forwarded_commit_supersedes_dirty_lines() {
+        // A dirty line written before a transaction commits to the same
+        // sector is older than the commit: the cache must serve, and
+        // never write back over, the committed data — as the raw driver
+        // and the journal do.
+        use crate::vectored::{txn_arg, txn_write_args};
+        let (_mem, driver, cache) = setup(8);
+        cache
+            .invoke("blockdev", "write", &[Value::Int(5), sector_of(0xaa)])
+            .unwrap();
+        let txn = cache
+            .invoke("blockdev", "begin_txn", &[])
+            .unwrap()
+            .as_int()
+            .unwrap();
+        cache
+            .invoke(
+                "blockdev",
+                "txn_write",
+                &txn_write_args(txn, 5, Bytes::from(vec![0xbb; SECTOR_SIZE])),
+            )
+            .unwrap();
+        cache.invoke("blockdev", "commit", &txn_arg(txn)).unwrap();
+        let v = cache.invoke("blockdev", "read", &[Value::Int(5)]).unwrap();
+        assert_eq!(v.as_bytes().unwrap()[0], 0xbb, "read after commit");
+        cache.invoke("blockdev", "flush", &[]).unwrap();
+        let v = driver.invoke("blockdev", "read", &[Value::Int(5)]).unwrap();
+        assert_eq!(v.as_bytes().unwrap()[0], 0xbb, "disk after flush");
+    }
+
+    #[test]
     fn flush_chunks_to_the_backing_write_limit() {
         // Regression: flush used to send every dirty line as ONE
         // write_many. Under a journal that is a single log transaction,
@@ -1528,6 +1395,68 @@ mod tests {
         );
         // The survivors are clean now: flush has nothing left but the
         // newly written sector 4.
+        assert_eq!(cache.invoke("cache", "flush", &[]).unwrap(), Value::Int(1));
+    }
+
+    #[test]
+    fn write_many_eviction_coalesces_cold_dirty_lines() {
+        // The batch path follows the same rule as a single-sector miss:
+        // its two dirty victims take the shard's other dirty lines along
+        // in one backing call.
+        let (_mem, driver, cache) = setup(4);
+        for sec in 0..4i64 {
+            cache
+                .invoke("blockdev", "write", &[Value::Int(sec), sector_of(9)])
+                .unwrap();
+        }
+        let before = driver.invocation_count();
+        let pairs = [4i64, 5].map(|sec| (sec, Bytes::from(vec![0x50; SECTOR_SIZE])));
+        cache
+            .invoke("blockdev", "write_many", &[pairs_arg(pairs)])
+            .unwrap();
+        assert_eq!(driver.invocation_count() - before, 1, "one backing call");
+        let dstats = driver.invoke("blockdev", "stats", &[]).unwrap();
+        assert_eq!(
+            dstats.as_list().unwrap()[1],
+            Value::Int(4),
+            "two victims and two coalesced extras written"
+        );
+        assert_eq!(cache_stats(&cache)[2], 4, "four writebacks counted");
+        // Only the batch itself is left dirty.
+        assert_eq!(cache.invoke("cache", "flush", &[]).unwrap(), Value::Int(2));
+    }
+
+    #[test]
+    fn oversized_read_many_fill_bypasses_the_cache() {
+        // 16 distinct misses over four 2-line shards: more than any shard
+        // holds, so the fetched data is returned without being cached.
+        let (_mem, driver, cache) = setup_sharded(8, 4);
+        for sec in 0..16i64 {
+            driver
+                .invoke(
+                    "blockdev",
+                    "write",
+                    &[Value::Int(sec), sector_of(0x20 + sec as u8)],
+                )
+                .unwrap();
+        }
+        cache
+            .invoke("blockdev", "write", &[Value::Int(1), sector_of(0x77)])
+            .unwrap();
+        let out = cache
+            .invoke("blockdev", "read_many", &[sectors_arg(0..16)])
+            .unwrap();
+        for (sec, v) in out.as_list().unwrap().iter().enumerate() {
+            let want = if sec == 1 { 0x77 } else { 0x20 + sec as u8 };
+            assert_eq!(v.as_bytes().unwrap()[0], want, "sector {sec}");
+        }
+        let s = cache_stats(&cache);
+        assert_eq!(
+            (s[0], s[1]),
+            (1, 16),
+            "one read hit; fifteen read misses and the write miss"
+        );
+        assert_eq!(s[3], 1, "only the dirty line stays resident");
         assert_eq!(cache.invoke("cache", "flush", &[]).unwrap(), Value::Int(1));
     }
 }

@@ -1,7 +1,8 @@
 //! Store scaling suite (PR 5): the sharded, vectorized block cache.
 //!
 //! - Differential property test: any operation sequence through the
-//!   cache, followed by a final flush, leaves the backing disk
+//!   cache — transactions forwarded to the driver's volatile ones
+//!   included — followed by a final flush, leaves the backing disk
 //!   byte-identical to running the same sequence against the raw driver —
 //!   across shard counts {1, 4, 8} and several capacities.
 //! - Durability: a failed backing write must never lose dirty data
@@ -27,7 +28,7 @@ use paramecium::machine::dev::disk::{batch_transfer_cost, SECTOR_SIZE, SECTOR_TR
 use paramecium::machine::Machine;
 use paramecium::obj::interpose::interposer_target;
 use paramecium::prelude::*;
-use paramecium::store::vectored::{pairs_arg, sectors_arg};
+use paramecium::store::vectored::{pairs_arg, sectors_arg, txn_arg, txn_write_args};
 use paramecium::store::StackBuilder;
 use parking_lot::Mutex;
 
@@ -64,6 +65,9 @@ enum StoreOp {
     ReadMany(Vec<i64>),
     WriteMany(Vec<(i64, u8)>),
     Flush,
+    /// `begin_txn`, one `txn_write` per pair, then `commit` (true) or
+    /// `abort` (false).
+    Txn(Vec<(i64, u8)>, bool),
 }
 
 fn store_op() -> impl Strategy<Value = StoreOp> {
@@ -73,6 +77,11 @@ fn store_op() -> impl Strategy<Value = StoreOp> {
         proptest::collection::vec(0..RANGE, 1..6).prop_map(StoreOp::ReadMany),
         proptest::collection::vec((0..RANGE, 0u8..=255), 1..6).prop_map(StoreOp::WriteMany),
         (0u8..1).prop_map(|_| StoreOp::Flush),
+        (
+            proptest::collection::vec((0..RANGE, 0u8..=255), 1..6),
+            0u8..2
+        )
+            .prop_map(|(writes, commit)| StoreOp::Txn(writes, commit == 1)),
     ]
 }
 
@@ -117,6 +126,21 @@ fn apply(dev: &ObjRef, op: &StoreOp, is_cache: bool) -> Vec<u8> {
             if is_cache {
                 dev.invoke("cache", "flush", &[]).unwrap();
             }
+            Vec::new()
+        }
+        StoreOp::Txn(writes, commit) => {
+            let txn = dev
+                .invoke("blockdev", "begin_txn", &[])
+                .unwrap()
+                .as_int()
+                .unwrap();
+            for (sec, byte) in writes {
+                let data = bytes::Bytes::from(vec![*byte; SECTOR_SIZE]);
+                dev.invoke("blockdev", "txn_write", &txn_write_args(txn, *sec, data))
+                    .unwrap();
+            }
+            let verb = if *commit { "commit" } else { "abort" };
+            dev.invoke("blockdev", verb, &txn_arg(txn)).unwrap();
             Vec::new()
         }
     }
