@@ -15,8 +15,8 @@
 //!
 //! # Architecture
 //!
-//! A certified component has to be reviewed by hand, so the cache makes
-//! a line resident in exactly one way:
+//! The cache is a sharded pipeline. A certified component is reviewed
+//! by hand, so each of its jobs is written once:
 //!
 //! - **Sharding.** Lines are partitioned `N` ways by sector
 //!   (`sector % N`). Each shard owns an independent index, LRU list and
@@ -285,6 +285,11 @@ impl Shard {
     /// resident, so they share the victims' backing write.
     fn evict_for(&mut self, sectors: &[i64], out: &mut Vec<Dirty>) {
         debug_assert!(sectors.len() <= self.capacity);
+        // Demand is at most `sectors.len()`: with that much room free, no
+        // line needs to go, and the apply pass skips the index lookups.
+        if self.len() + sectors.len() <= self.capacity {
+            return;
+        }
         let mut need = sectors
             .iter()
             .filter(|sec| !self.map.contains_key(sec))

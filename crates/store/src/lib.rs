@@ -21,8 +21,10 @@
 //!   atomic multi-sector transactions, and idempotent mount-time
 //!   recovery with committed-prefix semantics,
 //! - [`cache`] — a sharded write-back LRU block cache: O(1) intrusive
-//!   LRU per shard, zero-copy hits, coalesced sector-sorted writeback,
-//!   per-shard locking for concurrent clients,
+//!   LRU per shard, zero-copy one-lock hits, one insertion path shared
+//!   by writes and read fills (evict, write dirty victims back with
+//!   coalesced cold dirty lines, then apply), per-shard locking for
+//!   concurrent clients,
 //! - [`stack`] — [`StackBuilder`], the one way to assemble the layers
 //!   (each optional, fixed order),
 //! - [`vectored`] — the shared codec for vectorized and transactional
