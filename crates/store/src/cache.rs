@@ -67,6 +67,7 @@
 //!   they are atomic per shard, not across the cache (single-client
 //!   behaviour is unchanged).
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
@@ -488,10 +489,33 @@ enum Mode {
 /// more distinct sectors in one shard than the shard holds bypasses the
 /// cache: a write streams through, refreshing resident lines as clean,
 /// and a fill is left uncached.
-fn make_resident(shared: &CacheShared, pairs: &[(i64, Bytes)], mode: Mode) -> ObjResult<()> {
-    let mut plan: Vec<i64> = pairs.iter().map(|(sec, _)| *sec).collect();
+fn make_resident<B: Borrow<Bytes>>(
+    shared: &CacheShared,
+    pairs: &[(i64, B)],
+    mode: Mode,
+) -> ObjResult<()> {
+    // Batches of up to 8 sectors, every single-sector miss among them,
+    // plan on the stack: a heap plan costs a write miss about 5 %.
+    let mut stack = [0i64; 8];
+    let mut heap = Vec::new();
+    let plan: &mut [i64] = if pairs.len() <= stack.len() {
+        &mut stack[..pairs.len()]
+    } else {
+        heap.resize(pairs.len(), 0);
+        &mut heap
+    };
+    for (slot, (sec, _)) in plan.iter_mut().zip(pairs) {
+        *slot = *sec;
+    }
     plan.sort_unstable_by_key(|&sec| (shared.shard_of(sec), sec));
-    plan.dedup();
+    let mut distinct = 0;
+    for i in 0..plan.len() {
+        if distinct == 0 || plan[i] != plan[distinct - 1] {
+            plan[distinct] = plan[i];
+            distinct += 1;
+        }
+    }
+    let plan = &plan[..distinct];
     let same_shard = |a: &i64, b: &i64| shared.shard_of(*a) == shared.shard_of(*b);
     if plan
         .chunk_by(same_shard)
@@ -500,7 +524,10 @@ fn make_resident(shared: &CacheShared, pairs: &[(i64, Bytes)], mode: Mode) -> Ob
         if mode == Mode::Write {
             // A stable sort keeps duplicate sectors in batch order, so
             // the last write of a sector still lands last.
-            let mut batch = pairs.to_vec();
+            let mut batch: Vec<(i64, Bytes)> = pairs
+                .iter()
+                .map(|(sec, data)| (*sec, data.borrow().clone()))
+                .collect();
             batch.sort_by_key(|(sec, _)| *sec);
             for chunk in batch.chunks(shared.write_limit) {
                 shared
@@ -510,7 +537,7 @@ fn make_resident(shared: &CacheShared, pairs: &[(i64, Bytes)], mode: Mode) -> Ob
             for (sec, data) in pairs {
                 let mut sh = shared.shard(*sec);
                 if let Some(&idx) = sh.map.get(sec) {
-                    sh.overwrite(idx, data.clone(), false);
+                    sh.overwrite(idx, data.borrow().clone(), false);
                 }
             }
         }
@@ -530,14 +557,14 @@ fn make_resident(shared: &CacheShared, pairs: &[(i64, Bytes)], mode: Mode) -> Ob
             match sh.map.get(sec).copied() {
                 Some(idx) if mode == Mode::Write => {
                     sh.hits += 1;
-                    sh.overwrite(idx, data.clone(), true);
+                    sh.overwrite(idx, data.borrow().clone(), true);
                 }
                 Some(_) => {}
                 None => {
                     if mode == Mode::Write {
                         sh.misses += 1;
                     }
-                    sh.insert(*sec, data.clone(), mode == Mode::Write);
+                    sh.insert(*sec, data.borrow().clone(), mode == Mode::Write);
                 }
             }
         }
@@ -597,7 +624,7 @@ fn cache_write(shared: &CacheShared, sector: i64, data: &Bytes) -> ObjResult<Val
             return Ok(Value::Unit);
         }
     }
-    make_resident(shared, &[(sector, data.clone())], Mode::Write)?;
+    make_resident(shared, &[(sector, data)], Mode::Write)?;
     Ok(Value::Unit)
 }
 

@@ -74,8 +74,8 @@ fn store_op() -> impl Strategy<Value = StoreOp> {
     prop_oneof![
         (0..RANGE).prop_map(StoreOp::Read),
         (0..RANGE, 0u8..=255).prop_map(|(s, b)| StoreOp::Write(s, b)),
-        proptest::collection::vec(0..RANGE, 1..6).prop_map(StoreOp::ReadMany),
-        proptest::collection::vec((0..RANGE, 0u8..=255), 1..6).prop_map(StoreOp::WriteMany),
+        proptest::collection::vec(0..RANGE, 1..12).prop_map(StoreOp::ReadMany),
+        proptest::collection::vec((0..RANGE, 0u8..=255), 1..12).prop_map(StoreOp::WriteMany),
         (0u8..1).prop_map(|_| StoreOp::Flush),
         (
             proptest::collection::vec((0..RANGE, 0u8..=255), 1..6),
